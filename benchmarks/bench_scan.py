@@ -5,7 +5,7 @@ full scanning-tableau computations (all start columns) on both kernels,
 verifying along the way that they agree.
 
 Usage: python3 benchmarks/bench_scan.py [--cols K] [--height H]
-       [--repeats R] [--seed S]
+       [--tableaux N] [--repeats R] [--seed S]
 """
 
 import argparse

@@ -2,9 +2,11 @@
 
 Three routes to the same polynomial:
 
-* filter all semistandard tableaux of the shape by comparing their right
-  key (scanning method) against the key of the composition w . mu;
-* the same filter with the jeu de taquin right-key oracle;
+* build the tableaux of the shape right to left, scanning each column
+  suffix once and dropping every suffix whose right-key column already
+  exceeds the key of the composition w . mu;
+* filter all semistandard tableaux of the shape by their jeu de taquin
+  right key, the unpruned reference;
 * the isobaric divided-difference recursion along a reduced word of w.
 
 All arithmetic is exact integer arithmetic on sparse exponent maps.
@@ -12,10 +14,19 @@ All arithmetic is exact integer arithmetic on sparse exponent maps.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import gt
 
 from . import jdt, scanning
-from .tableau import Tableau, TableauError, conjugate, entrywise_leq, enumerate_tableaux
+from .tableau import (
+    Tableau,
+    TableauError,
+    _columns_of_length,
+    conjugate,
+    entrywise_leq,
+    enumerate_tableaux,
+)
 
 
 class EmptyComposition(TableauError):
@@ -192,10 +203,8 @@ def schur_polynomial(mu, n: int) -> SparsePolynomial:
     """Sum of the weights of all semistandard tableaux of shape mu
     (mu a partition in row lengths, entries bounded by n)."""
     mu = _check_partition(mu, n)
-    total = SparsePolynomial.zero(n)
-    for t in enumerate_tableaux(conjugate(mu), n):
-        total = total + SparsePolynomial.monomial(t.weight())
-    return total
+    weights = Counter(t.weight() for t in enumerate_tableaux(conjugate(mu), n))
+    return SparsePolynomial(n, dict(weights))
 
 
 def demazure_character(mu, w, n: int, engine: str = "scan") -> SparsePolynomial:
@@ -203,18 +212,56 @@ def demazure_character(mu, w, n: int, engine: str = "scan") -> SparsePolynomial:
     right key is entrywise <= the key of the composition w . mu.
 
     ``engine`` picks how right keys are computed: 'scan' (the direct
-    scanning method) or 'oracle' (jeu de taquin length swaps).
+    scanning method, pruned column by column) or 'oracle' (jeu de taquin
+    length swaps on every tableau of the shape).
     """
     if engine not in ("scan", "oracle"):
         raise ValueError(f"unknown engine {engine!r}")
-    c = compose(w, mu, n)
-    key = key_of_composition(c)
-    right_key = scanning.scanning_tableau if engine == "scan" else jdt.right_key_oracle
-    total = SparsePolynomial.zero(n)
-    for t in enumerate_tableaux(key.shape, n):
-        if entrywise_leq(right_key(t), key):
-            total = total + SparsePolynomial.monomial(t.weight())
-    return total
+    key = key_of_composition(compose(w, mu, n))
+    weights: Counter = Counter()
+    if engine == "scan":
+        k = len(key.columns)
+        _extend(k - 1, [()] * k, key.columns, [0] * n, weights)
+    else:
+        weights.update(
+            t.weight()
+            for t in enumerate_tableaux(key.shape, n)
+            if entrywise_leq(jdt.right_key_oracle(t), key)
+        )
+    return SparsePolynomial(n, dict(weights))
+
+
+# Module level rather than a closure: a closure that calls itself is a
+# reference cycle, which would keep ``weights`` alive until the next
+# garbage collection and raise the peak memory of repeated calls.
+def _extend(i, cols, bound, weight, weights):
+    """Count in ``weights`` the weight of every tableau T of the shape of
+    the key ``bound`` with K+(T) <= bound whose columns after i are
+    ``cols[i + 1:]``; ``weight`` holds the weight of those columns.
+
+    Column i of the scanning tableau reads only columns i.. of T, so
+    K+(T)[i:] = K+(T[i:]) and the condition splits into one test per
+    suffix.  Column i is bounded by the column to its right (rows weakly
+    increase) and by key column i (T <= K+(T) <= key), and a suffix whose
+    scanned first column exceeds key column i is dropped with every
+    filling that extends it.
+    """
+    scan_columns = scanning._kernel.scan_columns
+    b = bound[i]
+    right = cols[i + 1] if i + 1 < len(cols) else ()
+    upper = tuple(map(min, right, b)) + b[len(right):]
+    for col in _columns_of_length(len(b), len(weight), (), upper):
+        cols[i] = col
+        if any(map(gt, scan_columns(cols[i:])[0], b)):
+            continue
+        for e in col:
+            weight[e - 1] += 1
+        if i:
+            _extend(i - 1, cols, bound, weight, weights)
+        else:
+            weights[tuple(weight)] += 1
+        for e in col:
+            weight[e - 1] -= 1
 
 
 def demazure_by_operators(mu, w, n: int, pick_last: bool = False) -> SparsePolynomial:

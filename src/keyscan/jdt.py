@@ -390,21 +390,6 @@ def reversal_dual(t: Tableau) -> Tableau:
     return rectify(rotate_180(t), n=t.n)
 
 
-def left_key_column_oracle(t: Tableau, i: int, collect=None) -> tuple[int, ...]:
-    """The i-th left-key column, via rotation duality.
-
-    The right-key choreography on the dual of ``t`` yields a frank skew
-    tableau whose rotation is frank, rectifies to ``t``, and has leftmost
-    column length equal to the i-th column length; complementing its
-    rightmost column therefore gives the i-th left-key column.
-    """
-    k = t.k
-    if not 1 <= i <= k:
-        raise BadIndex(f"column index {i} outside 1..{k}")
-    col = right_key_column_oracle(reversal_dual(t), i, collect)
-    return tuple(sorted(t.n + 1 - e for e in col))
-
-
 def left_key_oracle(t: Tableau, collect=None) -> Tableau:
     """The left key of ``t``: complement duality applied to the right-key
     oracle of the reversal dual of ``t``."""

@@ -167,10 +167,6 @@ class Tableau:
         )
         return Tableau(cols, self.n)
 
-    def restrict(self, start: int) -> "Tableau":
-        """The tableau formed by columns ``start.. `` (0-based start)."""
-        return Tableau(self.columns[start:], self.n)
-
     def __str__(self):
         return format_tableau(self)
 
@@ -238,16 +234,20 @@ def format_tableau(t: Tableau, header: bool = True) -> str:
 # -- enumeration -----------------------------------------------------------
 
 
-def _columns_of_length(length: int, n: int, lower) -> list[tuple[int, ...]]:
+def _columns_of_length(length: int, n: int, lower, upper=None) -> list[tuple[int, ...]]:
     """Strictly increasing columns of the given length with entries <= n,
     bounded below entrywise by ``lower`` (row-weak condition with the column
-    to the left).  Returned in lexicographic order."""
+    to the left) and, when ``upper`` is given, above entrywise by it (one
+    bound per row).  Returned in lexicographic order."""
     out = []
     col = [0] * length
 
     def rec(r, lo):
         lo = max(lo, lower[r] if r < len(lower) else 1)
-        for e in range(lo, n - (length - 1 - r) + 1):
+        hi = n - (length - 1 - r)
+        if upper is not None:
+            hi = min(hi, upper[r])
+        for e in range(lo, hi + 1):
             col[r] = e
             if r + 1 == length:
                 out.append(tuple(col))
