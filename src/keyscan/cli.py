@@ -5,13 +5,15 @@ Tableaux are read from a file argument or standard input in the text
 format of :mod:`keyscan.tableau`; results go to standard output, traces
 to standard error.
 
-Exit codes: 1 for bad input, 2 for an oracle or engine disagreement
-(an implementation bug), 3 for a verification counterexample.
+Exit codes: 1 for bad input, 2 for an oracle or engine disagreement or
+any other internal error (an implementation bug), 3 for a verification
+counterexample.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import demazure, jdt, scanning, verify
@@ -32,7 +34,10 @@ def _read_tableau(path):
 
 
 def _int_list(text):
-    return tuple(int(x) for x in text.replace(",", " ").split())
+    try:
+        return tuple(int(x) for x in text.replace(",", " ").split())
+    except ValueError:
+        raise TableauError(f"not a list of integers: {text!r}")
 
 
 def _cmd_right_key(args):
@@ -71,6 +76,8 @@ def _cmd_left_key(args):
 
 
 def _cmd_verify(args):
+    if args.jobs < 1:
+        raise TableauError(f"--jobs must be at least 1, got {args.jobs}")
     report = verify.run_sweep(
         args.max_boxes, args.max_entry, jobs=args.jobs, check_swaps=args.check_swaps
     )
@@ -118,7 +125,9 @@ def _cmd_enumerate(args):
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="keyscan",
         description="Right and left keys of semistandard tableaux, "
@@ -174,6 +183,9 @@ def main(argv=None) -> int:
     except TableauError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a bug: one line (repr escapes newlines), exit 2
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -252,7 +252,7 @@ def _extend(i, cols, bound, weight, weights):
     upper = tuple(map(min, right, b)) + b[len(right):]
     for col in _columns_of_length(len(b), len(weight), (), upper):
         cols[i] = col
-        if any(map(gt, scan_columns(cols[i:])[0], b)):
+        if any(map(gt, scan_columns(cols[i:], (0,))[0], b)):
             continue
         for e in col:
             weight[e - 1] += 1

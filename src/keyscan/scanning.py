@@ -5,15 +5,15 @@ subsequence (EWIS) passes over the bottom entries of the columns; the
 left key by a right-to-left walk picking, in each column, the largest
 entry not exceeding the previous pick.
 
-Two interchangeable kernels compute the scanning tableau: a compiled
-extension (``keyscan._scankernel``) and a pure-Python fallback
-(``keyscan._scan_py``).  The compiled one is used when importable unless
-the ``KEYSCAN_PURE`` environment variable is set.
+Two interchangeable kernels compute columns of the scanning tableau: a
+compiled extension (``keyscan._scankernel``), used whenever it is
+importable, and a pure-Python fallback (``keyscan._scan_py``).  Both
+offer ``scan_columns(cols, starts)``; the pass-by-pass trace always runs
+the pure-Python loop.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -21,17 +21,14 @@ from . import _scan_py
 from .tableau import Tableau
 
 try:
-    from . import _scankernel
+    from . import _scankernel as _kernel
 except ImportError:  # pragma: no cover - depends on build environment
-    _scankernel = None
-
-HAVE_EXTENSION = _scankernel is not None
-_kernel = _scan_py if (_scankernel is None or os.environ.get("KEYSCAN_PURE")) else _scankernel
+    _kernel = _scan_py
 
 
 def kernel_name() -> str:
     """Which scanning kernel is active: 'compiled' or 'pure'."""
-    return "compiled" if _kernel is not None and _kernel is _scankernel else "pure"
+    return "pure" if _kernel is _scan_py else "compiled"
 
 
 class EmptySequence(ValueError):
@@ -86,72 +83,46 @@ def scan_column(t: Tableau, start: int, trace: list | None = None) -> tuple[int,
     if not 1 <= start <= t.k:
         raise IndexError(f"start column {start} outside 1..{t.k}")
     if trace is None:
-        return tuple(_kernel.scan_columns(list(t.columns[start - 1:]))[0])
-    cols = t.columns
-    alive = [len(c) for c in cols[start - 1:]]
-    out = []
-    while alive[0] > 0:
-        bottoms = []
-        positions = []
-        for idx, a in enumerate(alive):
-            if a:
-                bottoms.append(cols[start - 1 + idx][a - 1])
-                positions.append(idx)
-        e = ewis(bottoms)
-        for i in e.indices:
-            alive[positions[i - 1]] -= 1
-        trace.append(e.values)
-        out.append(e.last)
-    if any(alive):
+        return _kernel.scan_columns(t.columns, (start - 1,))[0]
+    before = len(trace)
+    col = _scan_py.scan_start_column(t.columns, start - 1, trace)
+    if sum(map(len, trace[before:])) != sum(map(len, t.columns[start - 1:])):
         raise InternalInvariantError("scanning left unmarked boxes")
-    return tuple(reversed(out))
+    return col
 
 
-def scanning_tableau(t: Tableau, skip_duplicate_lengths: bool = False) -> Tableau:
+def scanning_tableau(t: Tableau) -> Tableau:
     """The scanning tableau of ``t``: same shape, and equal to its right key.
 
-    ``skip_duplicate_lengths`` computes one column per distinct column
-    length and copies it to the others (columns of equal length are
-    identical); off by default.
+    Columns of equal length are equal in a key, so only the last column
+    of each run of equal lengths is scanned (its suffix is the shortest)
+    and copied to the rest of the run.
     """
-    if t.k == 0:
-        return t
-    cols = list(t.columns)
-    if not skip_duplicate_lengths:
-        return Tableau(tuple(_kernel.scan_columns(cols)), t.n)
     shape = t.shape
-    out: list = [None] * t.k
-    for s in range(t.k - 1, -1, -1):
-        if s + 1 < t.k and shape[s + 1] == shape[s]:
-            out[s] = out[s + 1]
-        else:
-            out[s] = tuple(_kernel.scan_columns(cols[s:])[0])
+    ends = [s for s in range(t.k) if s + 1 == t.k or shape[s + 1] != shape[s]]
+    out: list = []
+    for end, col in zip(ends, _kernel.scan_columns(t.columns, ends)):
+        out.extend([col] * (end + 1 - len(out)))
     return Tableau(tuple(out), t.n)
 
 
 def scan_trace(t: Tableau) -> list[list[tuple[int, ...]]]:
     """All EWIS passes: one list per start column, in discovery order."""
-    traces = []
-    for s in range(1, t.k + 1):
-        tr: list = []
+    traces: list = [[] for _ in range(t.k)]
+    for s, tr in enumerate(traces, start=1):
         scan_column(t, s, trace=tr)
-        traces.append(tr)
     return traces
 
 
-def left_scan_sequence(t: Tableau, limits=None) -> tuple[int, ...]:
+def left_scan_sequence(t: Tableau) -> tuple[int, ...]:
     """One right-to-left pass of the left-key method over all of ``t``.
 
-    Starting from the bottom usable entry of the last column, picks in
-    each earlier column the largest usable entry that is <= the previous
-    pick.  ``limits`` (one usable-prefix length per column) supports the
-    dotted-box exclusions; by default the whole tableau is usable.
+    Starting from the bottom entry of the last column, picks in each
+    earlier column the largest entry that is <= the previous pick.
     """
     if t.k == 0:
         raise EmptySequence("left scan of an empty tableau")
-    if limits is None:
-        limits = [len(c) for c in t.columns]
-    return _left_pass(t.columns, list(limits))
+    return _left_pass(t.columns, [len(c) for c in t.columns])
 
 
 def _left_pass(cols, limits):
@@ -174,9 +145,14 @@ def _left_pass(cols, limits):
 
 
 def left_key(t: Tableau) -> Tableau:
-    """The left key of ``t`` by the direct scanning method."""
+    """The left key of ``t`` by the direct scanning method.  Column c reads
+    only columns ..c, so each run of equal lengths is computed at its
+    first column, whose prefix is the shortest, and copied."""
     out = []
     for c in range(t.k):
+        if c and len(t.columns[c]) == len(t.columns[c - 1]):
+            out.append(out[-1])
+            continue
         cols = t.columns[: c + 1]
         limits = [len(col) for col in cols]
         col_out = []

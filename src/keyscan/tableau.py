@@ -52,7 +52,7 @@ class TableauSyntaxError(TableauError):
 def is_shape(lengths) -> bool:
     """True iff ``lengths`` is a weakly decreasing sequence of positive integers."""
     lengths = tuple(lengths)
-    return all(isinstance(x, int) and x >= 1 for x in lengths) and all(
+    return all(type(x) is int and x >= 1 for x in lengths) and all(
         a >= b for a, b in zip(lengths, lengths[1:])
     )
 
@@ -80,14 +80,18 @@ class Tableau:
     def __post_init__(self):
         if self.n < 1:
             raise EntryOutOfBound(f"entry bound must be >= 1, got {self.n}")
-        lengths = tuple(len(c) for c in self.columns)
+        # Hot-path tuples are built from lists: tuple(generator) resizes its
+        # guess, stranding blocks in other sizes' free lists, which grow for
+        # as long as no full garbage collection empties them.
+        lengths = tuple([len(c) for c in self.columns])
         if any(l == 0 for l in lengths) or any(a < b for a, b in zip(lengths, lengths[1:])):
             raise RaggedShape(f"column lengths {lengths} do not form a shape")
         for i, col in enumerate(self.columns):
             for r, e in enumerate(col):
-                if not isinstance(e, int) or e < 1 or e > self.n:
+                if type(e) is not int or e < 1 or e > self.n:
                     raise EntryOutOfBound(
-                        f"entry {e} at row {r + 1}, column {i + 1} outside 1..{self.n}"
+                        f"entry {e!r} at row {r + 1}, column {i + 1} is not an "
+                        f"integer in 1..{self.n}"
                     )
                 if r > 0 and col[r - 1] >= e:
                     raise NonDecreasingColumn(
@@ -102,7 +106,7 @@ class Tableau:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.columns)
+        return tuple([len(c) for c in self.columns])
 
     @property
     def k(self) -> int:
@@ -133,7 +137,7 @@ class Tableau:
             n = max((e for r in rows for e in r), default=1)
         ncols = widths[0] if widths else 0
         columns = tuple(
-            tuple(rows[r][i] for r in range(len(rows)) if i < widths[r])
+            tuple([rows[r][i] for r in range(len(rows)) if i < widths[r]])
             for i in range(ncols)
         )
         return cls(columns, n)
@@ -239,24 +243,27 @@ def _columns_of_length(length: int, n: int, lower, upper=None) -> list[tuple[int
     bounded below entrywise by ``lower`` (row-weak condition with the column
     to the left) and, when ``upper`` is given, above entrywise by it (one
     bound per row).  Returned in lexicographic order."""
-    out = []
-    col = [0] * length
-
-    def rec(r, lo):
-        lo = max(lo, lower[r] if r < len(lower) else 1)
-        hi = n - (length - 1 - r)
-        if upper is not None:
-            hi = min(hi, upper[r])
-        for e in range(lo, hi + 1):
-            col[r] = e
-            if r + 1 == length:
-                out.append(tuple(col))
-            else:
-                rec(r + 1, e + 1)
-
+    out: list = []
     if length <= n:
-        rec(0, 1)
+        _fill_column(0, 1, [0] * length, n, lower, upper, out)
     return out
+
+
+# Appends to ``out`` every allowed completion of ``col[:r]`` with row r at
+# least ``lo``.  Not a closure: a closure that calls itself is a reference
+# cycle, which leaves every call's lists to the cyclic garbage collector.
+def _fill_column(r, lo, col, n, lower, upper, out):
+    length = len(col)
+    lo = max(lo, lower[r] if r < len(lower) else 1)
+    hi = n - (length - 1 - r)
+    if upper is not None:
+        hi = min(hi, upper[r])
+    for e in range(lo, hi + 1):
+        col[r] = e
+        if r + 1 == length:
+            out.append(tuple(col))
+        else:
+            _fill_column(r + 1, e + 1, col, n, lower, upper, out)
 
 
 def enumerate_tableaux(shape, n: int):
@@ -333,7 +340,7 @@ class SkewTableau:
             if off < 0:
                 raise RaggedShape(f"negative offset in column {i + 1}")
             for r, e in enumerate(col):
-                if not isinstance(e, int) or e < 1:
+                if type(e) is not int or e < 1:
                     raise EntryOutOfBound(f"bad entry {e} in column {i + 1}")
                 if r > 0 and col[r - 1] >= e:
                     raise NonDecreasingColumn(

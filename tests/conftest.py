@@ -1,4 +1,9 @@
+import importlib.util
 import random
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +26,31 @@ EXAMPLE_KEY_TEXT = """\
 8
 9
 """
+
+
+KERNEL_SOURCE = Path(__file__).resolve().parent.parent / "src" / "keyscan" / "_scankernel.c"
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel(tmp_path_factory):
+    """The compiled scanning kernel, built from source into a temporary
+    directory with the system C compiler and loaded without installing
+    it, so ``keyscan.scanning`` keeps whichever kernel it picked."""
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        pytest.skip("no C compiler found")
+    out = tmp_path_factory.mktemp("kernel") / (
+        "_scankernel" + sysconfig.get_config_var("EXT_SUFFIX")
+    )
+    subprocess.run(
+        [cc, "-shared", "-fPIC", "-O2", "-I", sysconfig.get_paths()["include"],
+         str(KERNEL_SOURCE), "-o", str(out)],
+        check=True,
+    )
+    spec = importlib.util.spec_from_file_location("keyscan._scankernel", out)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

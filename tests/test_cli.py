@@ -1,5 +1,6 @@
 import pytest
 
+from keyscan import scanning
 from keyscan.cli import build_parser, main
 
 from conftest import EXAMPLE_KEY_TEXT, EXAMPLE_T_TEXT
@@ -55,6 +56,24 @@ class TestRightKey:
         )
         assert code == 1
 
+    def test_large_entries_compiled_kernel(self, capsys, monkeypatch, compiled_kernel):
+        for text in ("n=99999999999\n1 3000000000\n2\n",
+                     f"n={2**70}\n1 {2**64 + 1}\n{2**63}\n"):
+            _, want, _ = run(capsys, monkeypatch, ["right-key"], stdin=text)
+            with monkeypatch.context() as m:
+                m.setattr(scanning, "_kernel", compiled_kernel)
+                code, out, err = run(capsys, monkeypatch, ["right-key"], stdin=text)
+            assert (code, out, err) == (0, want, "")
+
+    def test_internal_error_exit_2(self, capsys, monkeypatch):
+        def broken(t):
+            raise RuntimeError("first line\nsecond line")
+
+        monkeypatch.setattr(scanning, "scanning_tableau", broken)
+        code, out, err = run(capsys, monkeypatch, ["right-key"], stdin=EXAMPLE_T_TEXT)
+        assert code == 2
+        assert err == "internal error: RuntimeError('first line\\nsecond line')\n"
+
     def test_output_round_trips(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["right-key"], stdin="1 2\n2\n")
         code2, out2, _ = run(capsys, monkeypatch, ["right-key"], stdin=out)
@@ -86,6 +105,15 @@ class TestVerify:
         assert code == 0
         assert "0 counterexamples" in out
         assert "tableaux checked:" in out
+
+    def test_bad_jobs_exit_1(self, capsys, monkeypatch):
+        code, out, err = run(
+            capsys,
+            monkeypatch,
+            ["verify", "--max-boxes", "2", "--max-entry", "2", "--jobs", "0"],
+        )
+        assert code == 1
+        assert out == "" and "error: --jobs" in err
 
     def test_check_swaps(self, capsys, monkeypatch):
         code, out, _ = run(
@@ -134,6 +162,16 @@ class TestDemazure:
         )
         assert code == 1
         assert "error:" in err
+
+
+    def test_non_integer_list_exit_1(self, capsys, monkeypatch):
+        code, _, err = run(
+            capsys,
+            monkeypatch,
+            ["demazure", "--mu", "a", "--w", "1", "--n", "1"],
+        )
+        assert code == 1
+        assert err == "error: not a list of integers: 'a'\n"
 
 
 class TestSchur:

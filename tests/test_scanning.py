@@ -1,11 +1,12 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keyscan import _scan_py
+from keyscan import _scan_py, scanning
 from keyscan.jdt import left_key_oracle, right_key_oracle
 from keyscan.scanning import (
-    HAVE_EXTENSION,
     EmptySequence,
     ewis,
     kernel_name,
@@ -42,6 +43,27 @@ def naive_scanning_tableau(t):
     return Tableau(
         tuple(naive_scan_column(t.columns[s:]) for s in range(t.k)), t.n
     )
+
+
+@st.composite
+def tall_or_wide_columns(draw):
+    """Columns of a semistandard tableau, tall (few long columns) or wide
+    (many short ones), with entries shifted to lie near 2**31, near 2**63
+    (straddling it) or above 2**64."""
+    tall = draw(st.booleans())
+    k = draw(st.integers(1, 4 if tall else 30))
+    height = draw(st.integers(1, 30 if tall else 4))
+    lengths = sorted(draw(st.lists(st.integers(1, height), min_size=k, max_size=k)),
+                     reverse=True)
+    cols = []
+    for c, length in enumerate(lengths):
+        col = []
+        for r in range(length):
+            lo = max(col[-1] + 1 if col else 1, cols[c - 1][r] if c else 1)
+            col.append(lo + draw(st.integers(0, 2)))
+        cols.append(col)
+    base = draw(st.sampled_from([0, 2**31 - 40, 2**63 - 40, 2**64 + 7]))
+    return tuple(tuple(base + e for e in col) for col in cols)
 
 
 def small_census(max_boxes=6, max_entry=4):
@@ -122,11 +144,6 @@ class TestScanningTableau:
         for t in small_census():
             assert scanning_tableau(t) == naive_scanning_tableau(t)
 
-    def test_skip_duplicate_lengths_agrees(self, example_t):
-        assert scanning_tableau(example_t, skip_duplicate_lengths=True) == scanning_tableau(example_t)
-        for t in small_census(5, 3):
-            assert scanning_tableau(t, skip_duplicate_lengths=True) == scanning_tableau(t)
-
     def test_is_key_and_dominates(self):
         for t in small_census():
             s = scanning_tableau(t)
@@ -157,15 +174,33 @@ class TestKernels:
     def test_active_kernel_reported(self):
         assert kernel_name() in ("compiled", "pure")
 
-    @pytest.mark.skipif(not HAVE_EXTENSION, reason="extension not built")
-    def test_compiled_matches_pure(self):
-        from keyscan import _scankernel
-
+    def test_compiled_matches_pure(self, compiled_kernel):
         for t in small_census():
-            cols = list(t.columns)
-            assert [tuple(c) for c in _scankernel.scan_columns(cols)] == [
-                tuple(c) for c in _scan_py.scan_columns(cols)
-            ]
+            cols = t.columns
+            shape = t.shape
+            distinct = [s for s in range(t.k) if s + 1 == t.k or shape[s + 1] != shape[s]]
+            for starts in [range(t.k), distinct, *([s] for s in range(t.k))]:
+                assert compiled_kernel.scan_columns(cols, starts) == (
+                    _scan_py.scan_columns(cols, starts)
+                )
+
+    @settings(max_examples=150, deadline=None)
+    @given(tall_or_wide_columns(), st.data())
+    def test_compiled_matches_pure_fuzzed(self, compiled_kernel, cols, data):
+        starts = data.draw(st.lists(st.integers(0, len(cols) - 1), max_size=6))
+        for s in (starts, range(len(cols))):
+            assert compiled_kernel.scan_columns(cols, s) == _scan_py.scan_columns(cols, s)
+        t = Tableau(cols, max(col[-1] for col in cols))
+        with mock.patch.object(scanning, "_kernel", compiled_kernel):
+            assert scanning_tableau(t) == naive_scanning_tableau(t)
+
+    def test_bad_input_raises(self, compiled_kernel):
+        for kernel in (compiled_kernel, _scan_py):
+            for cols, starts in (([(1,)], (1,)), ([(1,)], (-1,)), ([], (0,))):
+                with pytest.raises(IndexError):
+                    kernel.scan_columns(cols, starts)
+        with pytest.raises(TypeError):
+            compiled_kernel.scan_columns([(1, 2.5)], (0,))
 
 
 class TestLeftKey:

@@ -8,6 +8,7 @@ from keyscan.tableau import (
     NonDecreasingColumn,
     RaggedShape,
     ShapeMismatch,
+    SkewTableau,
     Tableau,
     TableauSyntaxError,
     conjugate,
@@ -50,6 +51,13 @@ class TestValidation:
     def test_entry_above_bound_rejected(self):
         with pytest.raises(EntryOutOfBound):
             Tableau.from_rows([[1, 5]], n=4)
+
+    def test_bool_entries_rejected(self):
+        with pytest.raises(EntryOutOfBound):
+            Tableau(((True,),), 2)
+        with pytest.raises(EntryOutOfBound):
+            SkewTableau(((0, (1, True)),))
+        assert not is_shape((True,))
 
     def test_empty_tableau_is_legal(self):
         t = Tableau((), 3)
