@@ -10,14 +10,26 @@ Slides work on a ``{(column, row): entry}`` cell dict.  Tie-breaking when
 the two candidate neighbors of the hole are equal: the column neighbor
 moves (below on forward slides, above on reverse slides); moving the row
 neighbor would put equal entries in the same column.
+
+The oracle validates at its boundary: public functions take and return
+validated tableaux.  Inside, the right-key choreography runs in place on
+one working cell dict, and after each pull-down or reverse slide it
+re-checks legality on the columns that step changed.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .tableau import SkewTableau, Tableau, TableauError
+from .tableau import (
+    DecreasingRow,
+    NonDecreasingColumn,
+    RaggedShape,
+    SkewTableau,
+    Tableau,
+    TableauError,
+)
 
 
 class NotAnInsideCorner(TableauError):
@@ -53,10 +65,37 @@ class SlideTrace:
         return f"{self.direction} {cells}"
 
 
+class _Snapshot:
+    """One state of a working tableau (a copied cell dict with its offsets
+    and lengths), built and validated as a SkewTableau on first use."""
+
+    __slots__ = ("_state", "_skew")
+
+    def __init__(self, state):
+        self._state = state
+        self._skew = None
+
+    def skew(self) -> SkewTableau:
+        if self._skew is None:
+            self._skew = SkewTableau(_columns(*self._state))
+            self._state = None
+        return self._skew
+
+    def __eq__(self, other):
+        return isinstance(other, _Snapshot) and self.skew() == other.skew()
+
+    def __hash__(self):
+        return hash(self.skew())
+
+
 @dataclass(frozen=True)
 class LengthSwapStep:
     """Record of one length swap: index, slide count, pull-down depth,
-    and the bottom entries of the two columns before/after."""
+    and the bottom entries of the two columns before/after.
+
+    ``before`` and ``after`` are validated skew tableaux, built on first
+    access; in a choreography each swap's ``before`` is the previous
+    swap's ``after``."""
 
     j: int
     x: int
@@ -64,8 +103,16 @@ class LengthSwapStep:
     bottom_left_before: int
     bottom_right_before: int
     bottom_right_after: int
-    before: SkewTableau
-    after: SkewTableau
+    _before: _Snapshot = field(repr=False)
+    _after: _Snapshot = field(repr=False)
+
+    @property
+    def before(self) -> SkewTableau:
+        return self._before.skew()
+
+    @property
+    def after(self) -> SkewTableau:
+        return self._after.skew()
 
     def format_line(self) -> str:
         return (
@@ -97,6 +144,14 @@ def _from_cells(cells: dict, ncols: int) -> SkewTableau:
             raise TableauError(f"column {c + 1} not contiguous after slide")
         cols.append((rows[0], tuple(cells[(c, r)] for r in rows)))
     return SkewTableau(tuple(cols))
+
+
+def _columns(cells: dict, offs, lens) -> tuple:
+    """SkewTableau columns of a working form."""
+    return tuple(
+        (off, tuple([cells[(c, r)] for r in range(off, off + n)]))
+        for c, (off, n) in enumerate(zip(offs, lens))
+    )
 
 
 def _forward_path(cells: dict, c: int, r: int):
@@ -162,57 +217,140 @@ def reverse_slide(u: SkewTableau, corner) -> tuple[SkewTableau, SlideTrace]:
 # -- rectification ---------------------------------------------------------
 
 
-def _inner_cells(cells: dict):
-    """Empty cells still northwest of the filling: those with a filled
-    cell somewhere below in their column or to the right in their row."""
-    fill_cols: dict[int, int] = {}
-    fill_rows: dict[int, int] = {}
+def _extents(cells: dict):
+    """The lowest filled row of each column and the rightmost filled
+    column of each row."""
+    col_end: dict[int, int] = {}
+    row_end: dict[int, int] = {}
     for (c, r) in cells:
-        fill_cols[c] = max(fill_cols.get(c, -1), r)
-        fill_rows[r] = max(fill_rows.get(r, -1), c)
-    inner = set()
-    for c, rmax in fill_cols.items():
-        inner.update((c, r) for r in range(rmax) if (c, r) not in cells)
-    for r, cmax in fill_rows.items():
-        inner.update((c, r) for c in range(cmax) if (c, r) not in cells)
+        if col_end.get(c, -1) < r:
+            col_end[c] = r
+        if row_end.get(r, -1) < c:
+            row_end[r] = c
+    return col_end, row_end
+
+
+def _inner_cells(cells: dict, col_end, row_end):
+    """Empty cells still northwest of the filling: those with a filled
+    cell somewhere below in their column or to the right in their row
+    (``col_end`` and ``row_end`` are the :func:`_extents` of ``cells``)."""
+    inner = {(c, r) for c, rmax in col_end.items() for r in range(rmax)}
+    inner.update([(c, r) for r, cmax in row_end.items() for c in range(cmax)])
+    inner.difference_update(cells)
     return inner
+
+
+def _is_corner(inner, c: int, r: int) -> bool:
+    return (c, r) in inner and (c + 1, r) not in inner and (c, r + 1) not in inner
 
 
 def _strict_inside_corners(cells: dict):
     """Inner cells whose right and below neighbors are not inner: the
     holes a rectification slide may legally start from."""
-    inner = _inner_cells(cells)
-    return sorted(
-        (c, r)
-        for (c, r) in inner
-        if (c, r + 1) not in inner and (c + 1, r) not in inner
-    )
+    inner = _inner_cells(cells, *_extents(cells))
+    return sorted((c, r) for (c, r) in inner if _is_corner(inner, c, r))
+
+
+def _update_corners(cells, col_end, row_end, inner, corners, start, end):
+    """Bring the extents, the inner cells and the strict inside corners up
+    to date after a forward slide filled ``start`` and emptied ``end``.
+
+    A cell is inner while a filled cell lies below it in its column or to
+    its right in its row, so besides ``start`` and ``end`` only the empty
+    cells of a column or row whose extent moved can change; a corner can
+    change only at a changed cell or at its left or upper neighbor."""
+    changed = [start, end]
+    c, r = start
+    last = col_end.get(c, -1)
+    if last < r:
+        changed += [(c, q) for q in range(last + 1, r)]
+        col_end[c] = r
+    last = row_end.get(r, -1)
+    if last < c:
+        changed += [(q, r) for q in range(last + 1, c)]
+        row_end[r] = c
+    c, r = end
+    if col_end[c] == r:
+        q = r - 1
+        while q >= 0 and (c, q) not in cells:
+            q -= 1
+        if q < 0:
+            del col_end[c]
+        else:
+            col_end[c] = q
+        if q < r - 1:
+            changed += [(c, p) for p in range(q + 1, r)]
+    if row_end[r] == c:
+        q = c - 1
+        while q >= 0 and (q, r) not in cells:
+            q -= 1
+        if q < 0:
+            del row_end[r]
+        else:
+            row_end[r] = q
+        if q < c - 1:
+            changed += [(p, r) for p in range(q + 1, c)]
+    for c, r in changed:
+        if (c, r) not in cells and (col_end.get(c, -1) > r or row_end.get(r, -1) > c):
+            inner.add((c, r))
+        else:
+            inner.discard((c, r))
+    for c, r in changed:
+        for a, b in ((c, r), (c - 1, r), (c, r - 1)):
+            if _is_corner(inner, a, b):
+                corners.add((a, b))
+            else:
+                corners.discard((a, b))
+
+
+def _straight_tableau(cells: dict, n) -> Tableau:
+    """The tableau whose straight shape ``cells`` fills."""
+    cols = []
+    c = 0
+    while (c, 0) in cells:
+        col = []
+        r = 0
+        while (c, r) in cells:
+            col.append(cells[(c, r)])
+            r += 1
+        cols.append(tuple(col))
+        c += 1
+    if sum(map(len, cols)) != len(cells):
+        raise RaggedShape("skew tableau is not of straight shape")
+    if n is None:
+        n = max(cells.values(), default=1)
+    return Tableau(tuple(cols), n)
 
 
 def rectify(u: SkewTableau, n=None, choose=None, collect=None) -> Tableau:
     """Rectification: forward-slide inside corners until none remain.
 
-    ``choose`` picks among the available corners (default: first in sorted
-    order); the result is independent of the choice.  ``collect`` gathers
-    SlideTrace records.
+    ``choose`` picks among the available corners, given in sorted order
+    (default: the first); the result is independent of the choice.
+    ``collect`` gathers SlideTrace records.  The corners are found once
+    and then updated after each slide.
     """
     cells = _to_cells(u)
-    while True:
-        corners = _strict_inside_corners(cells)
-        if not corners:
-            break
-        corner = corners[0] if choose is None else choose(corners)
+    col_end, row_end = _extents(cells)
+    inner = _inner_cells(cells, col_end, row_end)
+    corners = {(c, r) for (c, r) in inner if _is_corner(inner, c, r)}
+    while corners:
+        corner = min(corners) if choose is None else choose(sorted(corners))
         path = _forward_path(cells, *corner)
         if collect is not None:
             collect.append(SlideTrace(corner, tuple(path), "forward"))
-    return _from_cells(cells, 0).to_tableau(n)
+        _update_corners(cells, col_end, row_end, inner, corners, corner, path[-1])
+    return _straight_tableau(cells, n)
 
 
-def is_frank(u: SkewTableau) -> bool:
+def is_frank(u: SkewTableau, rectified: Tableau | None = None) -> bool:
     """True iff the nonzero column lengths of ``u`` are a rearrangement of
-    the column lengths of its rectification."""
+    the column lengths of its rectification (``rectified``, when the caller
+    already has it)."""
+    if rectified is None:
+        rectified = rectify(u)
     lens = sorted(l for l in u.lengths() if l)
-    return lens == sorted(rectify(u).shape)
+    return lens == sorted(rectified.shape)
 
 
 # -- pull-downs and length swaps ------------------------------------------
@@ -252,6 +390,120 @@ def pull_down_by_slides(u: SkewTableau, l: int, d: int) -> SkewTableau:
     return v
 
 
+class _WorkingTableau:
+    """A legal skew tableau held for in-place length swaps: a
+    ``{(column, row): entry}`` cell dict plus per-column offset and length
+    lists.
+
+    Each step re-checks the columns and adjacent column pairs it changed;
+    the rest of the tableau is untouched, so this checks the same property
+    as validating the whole skew tableau again."""
+
+    __slots__ = ("cells", "offs", "lens")
+
+    def __init__(self, offs, cols):
+        cells = {}
+        for c, (off, col) in enumerate(zip(offs, cols)):
+            for r, e in enumerate(col, off):
+                cells[(c, r)] = e
+        self.cells = cells
+        self.offs = list(offs)
+        self.lens = [len(col) for col in cols]
+
+    def snapshot(self) -> _Snapshot:
+        return _Snapshot((dict(self.cells), tuple(self.offs), tuple(self.lens)))
+
+    def columns(self) -> tuple:
+        return _columns(self.cells, self.offs, self.lens)
+
+    def column(self, c: int) -> tuple[int, ...]:
+        off = self.offs[c]
+        cells = self.cells
+        return tuple([cells[(c, r)] for r in range(off, off + self.lens[c])])
+
+    def check(self, first: int, last: int):
+        """Strictness down columns ``first..last`` (0-based) and the weak
+        row condition on every adjacent pair that includes one of them;
+        raises what :class:`SkewTableau` would."""
+        cells, offs, lens = self.cells, self.offs, self.lens
+        for c in range(first, last + 1):
+            off = offs[c]
+            for r in range(off + 1, off + lens[c]):
+                if cells[(c, r - 1)] >= cells[(c, r)]:
+                    raise NonDecreasingColumn(f"column {c + 1} not strictly increasing")
+        self.check_rows(max(first, 1), min(last + 1, len(offs) - 1))
+
+    def check_rows(self, first: int, last: int):
+        """The weak row condition between columns ``c - 1`` and ``c`` for
+        ``c`` in ``first..last``."""
+        cells, offs, lens = self.cells, self.offs, self.lens
+        for c in range(first, last + 1):
+            lo, ro = offs[c - 1], offs[c]
+            for r in range(max(lo, ro), min(lo + lens[c - 1], ro + lens[c])):
+                if cells[(c - 1, r)] > cells[(c, r)]:
+                    raise DecreasingRow(f"row {r + 1} decreases between columns {c} and {c + 1}")
+
+    def pull_down(self, l: int, d: int):
+        """Shift columns ``0..l-1`` down ``d >= 0`` rows, ``l`` being less
+        than the number of columns.  The block moves as one, so only the
+        pair of columns ``l - 1`` and ``l`` changes."""
+        if not d:
+            return
+        offs, lens = self.offs, self.lens
+        self.cells = {
+            ((c, r + d) if c < l else (c, r)): e for (c, r), e in self.cells.items()
+        }
+        for c in range(l):
+            if lens[c]:
+                offs[c] += d
+        try:
+            self.check_rows(l, l)
+        except TableauError as exc:
+            raise IllegalShift(str(exc)) from exc
+
+    def slide_under(self, j: int):
+        """Reverse slide from the cell below column ``j`` (0-based).  The
+        start column gains its bottom cell and the column where the hole
+        stops loses its top cell; the columns in between keep their cells."""
+        cells, offs, lens = self.cells, self.offs, self.lens
+        r = offs[j] + lens[j]
+        if (j, r) in cells or ((j, r - 1) not in cells and (j - 1, r) not in cells):
+            raise NotAnOutsideCorner(f"({j + 1},{r + 1}) is not an outside corner")
+        path = _reverse_path(cells, j, r)
+        lens[j] += 1
+        c, top = path[-1]
+        if top != offs[c]:
+            raise TableauError(f"column {c + 1} not contiguous after slide")
+        lens[c] -= 1
+        offs[c] = top + 1 if lens[c] else 0
+        self.check(c, j)
+
+    def length_swap(self, j: int):
+        """The j-th length swap (1-based) in place; returns the fields of
+        its :class:`LengthSwapStep` up to the bottom entries."""
+        cells, offs, lens = self.cells, self.offs, self.lens
+        k = len(offs)
+        if not 1 <= j <= k - 1:
+            raise BadIndex(f"swap index {j} outside 1..{k - 1}")
+        len_j, len_j1 = lens[j - 1], lens[j]
+        x = len_j - len_j1
+        if x < 0:
+            raise BadIndex(f"column {j} shorter than column {j + 1}; swap undefined here")
+        d = 0
+        if j >= 2:
+            lo, ro = offs[j - 2], offs[j - 1]
+            d = max(0, min(lo + lens[j - 2], ro + len_j) - max(lo, ro))
+        bottom_left = cells[(j - 1, offs[j - 1] + len_j - 1)]
+        bottom_right = cells[(j, offs[j] + len_j1 - 1)] if len_j1 else None
+        self.pull_down(j - 1, d)
+        for _ in range(x):
+            self.slide_under(j)
+        got = (lens[j - 1], lens[j])
+        if got != (len_j1, len_j):
+            raise TableauError(f"length swap produced lengths {got}, wanted {(len_j1, len_j)}")
+        return x, d, bottom_left, bottom_right, self.cells[(j, offs[j] + len_j - 1)]
+
+
 def length_swap(u: SkewTableau, j: int, collect=None) -> SkewTableau:
     """The j-th length swap (j is 1-based): exchange the lengths of
     columns j and j+1 by pulling the columns left of j out of the way and
@@ -260,35 +512,15 @@ def length_swap(u: SkewTableau, j: int, collect=None) -> SkewTableau:
     Requires column j at least as long as column j+1 (always true in the
     right-key choreography, where the travelling column is longest).
     """
-    k = len(u.columns)
-    if not 1 <= j <= k - 1:
-        raise BadIndex(f"swap index {j} outside 1..{k - 1}")
-    before = u
-    len_j = len(u.columns[j - 1][1])
-    len_j1 = len(u.columns[j][1])
-    x = len_j - len_j1
-    if x < 0:
-        raise BadIndex(f"column {j} shorter than column {j + 1}; swap undefined here")
-    d = 0
-    if j >= 2:
-        lo, lcol = u.columns[j - 2]
-        ro, rcol = u.columns[j - 1]
-        d = max(0, min(lo + len(lcol), ro + len(rcol)) - max(lo, ro))
-    bottom_left = u.columns[j - 1][1][-1]
-    bottom_right = u.columns[j][1][-1] if u.columns[j][1] else None
-    v = pull_down(u, j - 1, d)
-    for _ in range(x):
-        off, col = v.columns[j]
-        v, _tr = reverse_slide(v, (j, off + len(col)))
-    got = (len(v.columns[j - 1][1]), len(v.columns[j][1]))
-    if got != (len_j1, len_j):
-        raise TableauError(f"length swap produced lengths {got}, wanted {(len_j1, len_j)}")
+    w = _WorkingTableau(u.offsets(), [col for _off, col in u.columns])
+    before = w.snapshot() if collect is not None else None
+    fields = w.length_swap(j)
+    if fields[0]:
+        # As after any slide (see _from_cells), empty columns sit at row 0.
+        w.offs = [off if n else 0 for off, n in zip(w.offs, w.lens)]
+    v = SkewTableau(w.columns())
     if collect is not None:
-        collect.append(
-            LengthSwapStep(
-                j, x, d, bottom_left, bottom_right, v.columns[j][1][-1], before, v
-            )
-        )
+        collect.append(LengthSwapStep(j, *fields, before, w.snapshot()))
     return v
 
 
@@ -297,16 +529,22 @@ def length_swap(u: SkewTableau, j: int, collect=None) -> SkewTableau:
 
 def right_key_column_oracle(t: Tableau, i: int, collect=None) -> tuple[int, ...]:
     """The i-th right-key column (1-based): rightmost column after length
-    swaps i..k-1, which walks column i's length to the right edge."""
+    swaps i..k-1, which walks column i's length to the right edge.  The
+    swaps run in place on one working form of ``t``."""
     k = t.k
     if not 1 <= i <= k:
         raise BadIndex(f"column index {i} outside 1..{k}")
     if i == k:
         return t.columns[-1]
-    u = SkewTableau.from_tableau(t)
+    w = _WorkingTableau([0] * k, t.columns)
+    before = w.snapshot() if collect is not None else None
     for j in range(i, k):
-        u = length_swap(u, j, collect)
-    return u.columns[-1][1]
+        fields = w.length_swap(j)
+        if collect is not None:
+            after = w.snapshot()
+            collect.append(LengthSwapStep(j, *fields, before, after))
+            before = after
+    return w.column(k - 1)
 
 
 def right_key_oracle(t: Tableau, collect=None) -> Tableau:

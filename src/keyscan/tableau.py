@@ -280,19 +280,20 @@ def enumerate_tableaux(shape, n: int):
         return
     if shape[0] > n:
         return
-    k = len(shape)
-    acc = []
+    yield from _fill_tableaux(shape, n, 0, (), [])
 
-    def rec(i, prev):
-        if i == k:
-            yield Tableau(tuple(acc), n)
-            return
-        for col in _columns_of_length(shape[i], n, prev):
-            acc.append(col)
-            yield from rec(i + 1, col)
-            acc.pop()
 
-    yield from rec(0, ())
+# Yields every tableau of ``shape`` whose first ``i`` columns are ``acc``,
+# ``prev`` being the last of them.  Module-level for the same reason as
+# ``_fill_column``.
+def _fill_tableaux(shape, n, i, prev, acc):
+    if i == len(shape):
+        yield Tableau(tuple(acc), n)
+        return
+    for col in _columns_of_length(shape[i], n, prev):
+        acc.append(col)
+        yield from _fill_tableaux(shape, n, i + 1, col, acc)
+        acc.pop()
 
 
 def count_tableaux(shape, n: int) -> int:

@@ -16,21 +16,24 @@ from . import jdt, scanning
 from .tableau import Tableau, entrywise_leq, enumerate_tableaux
 
 
+# A module-level generator: a closure that calls itself is a reference
+# cycle, left on every call for the cyclic garbage collector.
+def _partitions(total, cap):
+    """Weakly decreasing positive tuples summing to ``total``, parts <= ``cap``."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, cap), 0, -1):
+        for rest in _partitions(total - first, first):
+            yield (first,) + rest
+
+
 def shapes_up_to(max_boxes: int, max_length: int | None = None):
     """All shapes (weakly decreasing positive tuples) with 1..max_boxes
     boxes; column lengths capped at max_length when given."""
-
-    def parts(total, cap):
-        if total == 0:
-            yield ()
-            return
-        for first in range(min(total, cap), 0, -1):
-            for rest in parts(total - first, first):
-                yield (first,) + rest
-
     cap0 = max_boxes if max_length is None else max_length
     for m in range(1, max_boxes + 1):
-        yield from parts(m, min(m, cap0))
+        yield from _partitions(m, min(m, cap0))
 
 
 @dataclass
@@ -122,9 +125,10 @@ def check_tableau(t: Tableau, check_swaps: bool = False) -> tuple[list[str], int
             fail(f"two-case bottom-entry rule violated at {st.format_line()}")
         if check_swaps:
             before_rect = jdt.rectify(st.before)
-            if not jdt.is_frank(st.before) or not jdt.is_frank(st.after):
+            after_rect = jdt.rectify(st.after)
+            if not jdt.is_frank(st.before, before_rect) or not jdt.is_frank(st.after, after_rect):
                 fail(f"frankness lost at {st.format_line()}")
-            elif jdt.rectify(st.after) != before_rect:
+            elif after_rect != before_rect:
                 fail(f"rectification changed at {st.format_line()}")
 
     return failures, len(steps)

@@ -21,8 +21,17 @@ from keyscan.jdt import (
     right_key_oracle,
     rotate_180,
     skew_fillings,
+    _strict_inside_corners,
+    _WorkingTableau,
 )
-from keyscan.tableau import SkewTableau, Tableau, enumerate_tableaux, parse_tableau
+from keyscan.tableau import (
+    DecreasingRow,
+    NonDecreasingColumn,
+    SkewTableau,
+    Tableau,
+    enumerate_tableaux,
+    parse_tableau,
+)
 from keyscan.verify import shapes_up_to
 
 from conftest import EXAMPLE_KEY_TEXT, random_skew
@@ -56,8 +65,6 @@ class TestSlides:
         assert sorted(v.cells().values()) == [1, 2, 3]
 
     def test_round_trip(self):
-        from keyscan.jdt import _strict_inside_corners
-
         rng = random.Random(7)
         for _ in range(300):
             u = random_skew(rng)
@@ -102,6 +109,29 @@ class TestRectify:
         traces = []
         rectify(u, collect=traces)
         assert traces and all(tr.direction == "forward" for tr in traces)
+
+    @staticmethod
+    def rectify_from_scratch(u, choose):
+        """Rectification that finds every corner again after each slide."""
+        traces = []
+        while True:
+            corners = _strict_inside_corners(u.cells())
+            if not corners:
+                # Slides keep emptied columns; a rectified tableau drops them.
+                return SkewTableau(tuple(c for c in u.columns if c[1])).to_tableau(), traces
+            u, tr = forward_slide(u, choose(corners))
+            traces.append(tr)
+
+    def test_incremental_corners_match_from_scratch(self):
+        rng = random.Random(17)
+        # In the last skew, the first slide moves the 1 left and empties
+        # column 2, so the cell above it is no longer inner.
+        skews = [random_skew(rng) for _ in range(400)] + [SkewTableau(((2, (2,)), (1, (1,))))]
+        for u in skews:
+            for choose in (lambda cs: cs[0], lambda cs: cs[-1]):
+                traces = []
+                got = rectify(u, choose=choose, collect=traces)
+                assert (got, traces) == self.rectify_from_scratch(u, choose)
 
 
 class TestFrank:
@@ -180,6 +210,73 @@ class TestLengthSwap:
             for st in steps:
                 assert is_frank(st.after)
                 assert rectify(st.after, n=t.n) == t
+
+
+def reference_right_key_column(t, i):
+    """Column i of the right key by the length-swap choreography written
+    with the public pull_down and reverse_slide only, and the fields of
+    each swap's LengthSwapStep."""
+    u = SkewTableau.from_tableau(t)
+    steps = []
+    for j in range(i, t.k):
+        (left_off, left), (right_off, right) = u.columns[j - 1], u.columns[j]
+        x = len(left) - len(right)
+        d = 0
+        if j >= 2:
+            off, col = u.columns[j - 2]
+            d = max(0, min(off + len(col), left_off + len(left)) - max(off, left_off))
+        v = pull_down(u, j - 1, d)
+        for _ in range(x):
+            off, col = v.columns[j]
+            v, _tr = reverse_slide(v, (j, off + len(col)))
+        assert v.lengths()[j - 1 : j + 1] == (len(right), len(left))
+        steps.append((j, x, d, left[-1], right[-1], v.columns[j][1][-1], u, v))
+        u = v
+    return u.columns[-1][1], steps
+
+
+class TestInPlaceOracle:
+    def test_matches_public_choreography(self):
+        for t in small_census(6, 4):
+            for i in range(1, t.k + 1):
+                steps = []
+                col = right_key_column_oracle(t, i, collect=steps)
+                records = [
+                    (st.j, st.x, st.d, st.bottom_left_before, st.bottom_right_before,
+                     st.bottom_right_after, st.before, st.after)
+                    for st in steps
+                ]
+                assert (col, records) == reference_right_key_column(t, i)
+                for prev, st in zip(steps, steps[1:]):
+                    assert st.before is prev.after
+
+    def test_touched_column_check_matches_validation(self):
+        # Column 2 (index 1) is the touched one; each plant breaks one rule.
+        legal = ((0, (1, 3, 7)), (1, (4, 8)), (0, (2, 4)))
+        plants = [
+            ((1, 2), 4, NonDecreasingColumn),  # column inversion in column 2
+            ((0, 1), 5, DecreasingRow),  # row descent into column 2: 5 > 4
+            ((2, 1), 3, DecreasingRow),  # row descent out of it: 4 > 3
+        ]
+        w = _WorkingTableau([off for off, _ in legal], [col for _, col in legal])
+        w.check(1, 1)
+        for cell, entry, error in plants:
+            w = _WorkingTableau([off for off, _ in legal], [col for _, col in legal])
+            w.cells[cell] = entry
+            with pytest.raises(error):
+                SkewTableau(w.columns())
+            with pytest.raises(error):
+                w.check(1, 1)
+
+    def test_illegal_slide_is_caught(self):
+        # Sliding under column 2 moves the 5 of column 1 right, beside the
+        # 4 of column 3: only the pair to the right of the slide breaks.
+        u = SkewTableau(((0, (1, 5)), (0, (2,)), (0, (3, 4))))
+        with pytest.raises(DecreasingRow):
+            reverse_slide(u, (1, 1))
+        w = _WorkingTableau(u.offsets(), [col for _, col in u.columns])
+        with pytest.raises(DecreasingRow):
+            w.slide_under(1)
 
 
 class TestRightKeyOracle:
