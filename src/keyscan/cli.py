@@ -27,10 +27,14 @@ from .tableau import (
 
 def _read_tableau(path):
     try:
-        text = sys.stdin.read() if path in (None, "-") else open(path).read()
-        return parse_tableau(text)
+        if path in (None, "-"):
+            text = sys.stdin.read()
+        else:
+            with open(path) as f:
+                text = f.read()
     except OSError as exc:
         raise TableauError(str(exc))
+    return parse_tableau(text)
 
 
 def _int_list(text):
@@ -38,6 +42,17 @@ def _int_list(text):
         return tuple(int(x) for x in text.replace(",", " ").split())
     except ValueError:
         raise TableauError(f"not a list of integers: {text!r}")
+
+
+def _check_oracle(key, oracle_key):
+    """Report on stderr whether the jeu de taquin key agrees; exit code 2
+    and the oracle's key on a disagreement."""
+    if oracle_key == key:
+        print("AGREE", file=sys.stderr)
+        return 0
+    print("DISAGREE", file=sys.stderr)
+    sys.stderr.write(format_tableau(oracle_key))
+    return 2
 
 
 def _cmd_right_key(args):
@@ -49,30 +64,14 @@ def _cmd_right_key(args):
             for values in passes:
                 print("  (" + ",".join(map(str, values)) + ")", file=sys.stderr)
     sys.stdout.write(format_tableau(s))
-    if args.oracle:
-        r = jdt.right_key_oracle(t)
-        if r == s:
-            print("AGREE", file=sys.stderr)
-        else:
-            print("DISAGREE", file=sys.stderr)
-            sys.stderr.write(format_tableau(r))
-            return 2
-    return 0
+    return _check_oracle(s, jdt.right_key_oracle(t)) if args.oracle else 0
 
 
 def _cmd_left_key(args):
     t = _read_tableau(args.file)
     lk = scanning.left_key(t)
     sys.stdout.write(format_tableau(lk))
-    if args.oracle:
-        r = jdt.left_key_oracle(t)
-        if r == lk:
-            print("AGREE", file=sys.stderr)
-        else:
-            print("DISAGREE", file=sys.stderr)
-            sys.stderr.write(format_tableau(r))
-            return 2
-    return 0
+    return _check_oracle(lk, jdt.left_key_oracle(t)) if args.oracle else 0
 
 
 def _cmd_verify(args):

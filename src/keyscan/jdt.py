@@ -6,15 +6,17 @@ rightmost column of a frank skew tableau (rightmost length = i-th column
 length) rectifying to T, obtained by a choreography of column pull-downs
 and reverse slides; the left key dually uses leftmost columns.
 
-Slides work on a ``{(column, row): entry}`` cell dict.  Tie-breaking when
-the two candidate neighbors of the hole are equal: the column neighbor
-moves (below on forward slides, above on reverse slides); moving the row
-neighbor would put equal entries in the same column.
+The public slides and rectification work on a ``{(column, row): entry}``
+cell dict.  Tie-breaking when the two candidate neighbors of the hole are
+equal: the column neighbor moves (below on forward slides, above on
+reverse slides); moving the row neighbor would put equal entries in the
+same column.
 
 The oracle validates at its boundary: public functions take and return
 validated tableaux.  Inside, the right-key choreography runs in place on
-one working cell dict, and after each pull-down or reverse slide it
-re-checks legality on the columns that step changed.
+column offsets and one entry list per column, sharing no code with the
+public slides, and after each pull-down or reverse slide it re-checks
+legality on the columns that step changed.
 """
 
 from __future__ import annotations
@@ -66,19 +68,19 @@ class SlideTrace:
 
 
 class _Snapshot:
-    """One state of a working tableau (a copied cell dict with its offsets
-    and lengths), built and validated as a SkewTableau on first use."""
+    """The columns of a working tableau at one moment, built and validated
+    as a SkewTableau on first use."""
 
-    __slots__ = ("_state", "_skew")
+    __slots__ = ("_columns", "_skew")
 
-    def __init__(self, state):
-        self._state = state
+    def __init__(self, columns):
+        self._columns = columns
         self._skew = None
 
     def skew(self) -> SkewTableau:
         if self._skew is None:
-            self._skew = SkewTableau(_columns(*self._state))
-            self._state = None
+            self._skew = SkewTableau(self._columns)
+            self._columns = None
         return self._skew
 
     def __eq__(self, other):
@@ -125,10 +127,6 @@ class LengthSwapStep:
 # -- cell-dict plumbing ----------------------------------------------------
 
 
-def _to_cells(u: SkewTableau) -> dict:
-    return u.cells()
-
-
 def _from_cells(cells: dict, ncols: int) -> SkewTableau:
     cols = []
     by_col: dict[int, list[int]] = {}
@@ -144,14 +142,6 @@ def _from_cells(cells: dict, ncols: int) -> SkewTableau:
             raise TableauError(f"column {c + 1} not contiguous after slide")
         cols.append((rows[0], tuple(cells[(c, r)] for r in rows)))
     return SkewTableau(tuple(cols))
-
-
-def _columns(cells: dict, offs, lens) -> tuple:
-    """SkewTableau columns of a working form."""
-    return tuple(
-        (off, tuple([cells[(c, r)] for r in range(off, off + n)]))
-        for c, (off, n) in enumerate(zip(offs, lens))
-    )
 
 
 def _forward_path(cells: dict, c: int, r: int):
@@ -196,7 +186,7 @@ def forward_slide(u: SkewTableau, corner) -> tuple[SkewTableau, SlideTrace]:
     """One forward slide from an inside corner (an empty cell with a
     filled cell below or to the right)."""
     c, r = corner
-    cells = _to_cells(u)
+    cells = u.cells()
     if (c, r) in cells or ((c, r + 1) not in cells and (c + 1, r) not in cells):
         raise NotAnInsideCorner(f"({c + 1},{r + 1}) is not an inside corner")
     path = _forward_path(cells, c, r)
@@ -207,7 +197,7 @@ def reverse_slide(u: SkewTableau, corner) -> tuple[SkewTableau, SlideTrace]:
     """One reverse slide from an outside corner (an empty cell with a
     filled cell above or to the left)."""
     c, r = corner
-    cells = _to_cells(u)
+    cells = u.cells()
     if (c, r) in cells or ((c, r - 1) not in cells and (c - 1, r) not in cells):
         raise NotAnOutsideCorner(f"({c + 1},{r + 1}) is not an outside corner")
     path = _reverse_path(cells, c, r)
@@ -330,7 +320,7 @@ def rectify(u: SkewTableau, n=None, choose=None, collect=None) -> Tableau:
     ``collect`` gathers SlideTrace records.  The corners are found once
     and then updated after each slide.
     """
-    cells = _to_cells(u)
+    cells = u.cells()
     col_end, row_end = _extents(cells)
     inner = _inner_cells(cells, col_end, row_end)
     corners = {(c, r) for (c, r) in inner if _is_corner(inner, c, r)}
@@ -356,91 +346,44 @@ def is_frank(u: SkewTableau, rectified: Tableau | None = None) -> bool:
 # -- pull-downs and length swaps ------------------------------------------
 
 
-def pull_down(u: SkewTableau, l: int, d: int) -> SkewTableau:
-    """Shift columns ``1..l`` down ``d`` rows, leaving everything else
-    untouched; validation rejects shifts that break skew legality.
-    Negative ``d`` shifts back up."""
-    if l < 0 or l > len(u.columns):
-        raise IllegalShift(f"bad pull-down l={l}, d={d}")
-    if d < 0 and any(off + d < 0 for off, col in u.columns[:l] if col):
-        raise IllegalShift(f"shift by {d} would lift a column above row 1")
-    if l == 0 or d == 0:
-        return u
-    cols = list(u.columns)
-    for i in range(l):
-        off, col = cols[i]
-        if col:
-            cols[i] = (off + d, col)
-    try:
-        return SkewTableau(tuple(cols))
-    except TableauError as exc:
-        raise IllegalShift(str(exc)) from exc
-
-
-def pull_down_by_slides(u: SkewTableau, l: int, d: int) -> SkewTableau:
-    """Same as :func:`pull_down` but realized by reverse slides; asserts
-    the slides really only shifted columns ``1..l``."""
-    v = u
-    for j in range(l):
-        for _ in range(d):
-            off, col = v.columns[j]
-            v, _tr = reverse_slide(v, (j, off + len(col)))
-    if v != pull_down(u, l, d):
-        raise IllegalShift("reverse slides did not implement a pure column shift")
-    return v
-
-
 class _WorkingTableau:
-    """A legal skew tableau held for in-place length swaps: a
-    ``{(column, row): entry}`` cell dict plus per-column offset and length
-    lists.
+    """A legal skew tableau held for in-place length swaps: a list of
+    column offsets and one entry list per column.
 
     Each step re-checks the columns and adjacent column pairs it changed;
     the rest of the tableau is untouched, so this checks the same property
     as validating the whole skew tableau again."""
 
-    __slots__ = ("cells", "offs", "lens")
+    __slots__ = ("offs", "cols")
 
     def __init__(self, offs, cols):
-        cells = {}
-        for c, (off, col) in enumerate(zip(offs, cols)):
-            for r, e in enumerate(col, off):
-                cells[(c, r)] = e
-        self.cells = cells
         self.offs = list(offs)
-        self.lens = [len(col) for col in cols]
+        self.cols = [list(col) for col in cols]
 
     def snapshot(self) -> _Snapshot:
-        return _Snapshot((dict(self.cells), tuple(self.offs), tuple(self.lens)))
-
-    def columns(self) -> tuple:
-        return _columns(self.cells, self.offs, self.lens)
-
-    def column(self, c: int) -> tuple[int, ...]:
-        off = self.offs[c]
-        cells = self.cells
-        return tuple([cells[(c, r)] for r in range(off, off + self.lens[c])])
+        return _Snapshot(tuple([(off, tuple(col)) for off, col in zip(self.offs, self.cols)]))
 
     def check(self, first: int, last: int):
         """Strictness down columns ``first..last`` (0-based) and the weak
         row condition on every adjacent pair that includes one of them;
         raises what :class:`SkewTableau` would."""
-        cells, offs, lens = self.cells, self.offs, self.lens
+        cols = self.cols
         for c in range(first, last + 1):
-            off = offs[c]
-            for r in range(off + 1, off + lens[c]):
-                if cells[(c, r - 1)] >= cells[(c, r)]:
+            col = cols[c]
+            for r in range(1, len(col)):
+                if col[r - 1] >= col[r]:
                     raise NonDecreasingColumn(f"column {c + 1} not strictly increasing")
-        self.check_rows(max(first, 1), min(last + 1, len(offs) - 1))
+        self.check_rows(max(first, 1), min(last + 1, len(cols) - 1))
 
     def check_rows(self, first: int, last: int):
         """The weak row condition between columns ``c - 1`` and ``c`` for
         ``c`` in ``first..last``."""
-        cells, offs, lens = self.cells, self.offs, self.lens
+        offs, cols = self.offs, self.cols
         for c in range(first, last + 1):
             lo, ro = offs[c - 1], offs[c]
-            for r in range(max(lo, ro), min(lo + lens[c - 1], ro + lens[c])):
-                if cells[(c - 1, r)] > cells[(c, r)]:
+            left, right = cols[c - 1], cols[c]
+            for r in range(max(lo, ro), min(lo + len(left), ro + len(right))):
+                if left[r - lo] > right[r - ro]:
                     raise DecreasingRow(f"row {r + 1} decreases between columns {c} and {c + 1}")
 
     def pull_down(self, l: int, d: int):
@@ -449,12 +392,9 @@ class _WorkingTableau:
         pair of columns ``l - 1`` and ``l`` changes."""
         if not d:
             return
-        offs, lens = self.offs, self.lens
-        self.cells = {
-            ((c, r + d) if c < l else (c, r)): e for (c, r), e in self.cells.items()
-        }
+        offs, cols = self.offs, self.cols
         for c in range(l):
-            if lens[c]:
+            if cols[c]:
                 offs[c] += d
         try:
             self.check_rows(l, l)
@@ -463,45 +403,63 @@ class _WorkingTableau:
 
     def slide_under(self, j: int):
         """Reverse slide from the cell below column ``j`` (0-based).  The
-        start column gains its bottom cell and the column where the hole
-        stops loses its top cell; the columns in between keep their cells."""
-        cells, offs, lens = self.cells, self.offs, self.lens
-        r = offs[j] + lens[j]
-        if (j, r) in cells or ((j, r - 1) not in cells and (j - 1, r) not in cells):
+        hole moves up or left into filled cells, so it stops at the top of
+        a column: the start column gains its bottom cell, that column loses
+        its top cell and the columns in between keep their lengths."""
+        offs, cols = self.offs, self.cols
+        c, col = j, cols[j]
+        h = len(col)  # the hole's index in column c; its row is r
+        r = offs[j] + h
+        if not h and not (j and offs[j - 1] <= r < offs[j - 1] + len(cols[j - 1])):
             raise NotAnOutsideCorner(f"({j + 1},{r + 1}) is not an outside corner")
-        path = _reverse_path(cells, j, r)
-        lens[j] += 1
-        c, top = path[-1]
-        if top != offs[c]:
-            raise TableauError(f"column {c + 1} not contiguous after slide")
-        lens[c] -= 1
-        offs[c] = top + 1 if lens[c] else 0
+        col.append(None)
+        while True:
+            above = col[h - 1] if h else None
+            left = None
+            if c:
+                lo, lcol = offs[c - 1], cols[c - 1]
+                if lo <= r < lo + len(lcol):
+                    left = lcol[r - lo]
+            if above is not None and (left is None or above >= left):
+                col[h] = above
+                h -= 1
+                r -= 1
+            elif left is not None:
+                col[h] = left
+                c, col, h = c - 1, lcol, r - lo
+            else:
+                break
+        del col[0]
+        offs[c] = r + 1 if col else 0
         self.check(c, j)
 
     def length_swap(self, j: int):
         """The j-th length swap (1-based) in place; returns the fields of
         its :class:`LengthSwapStep` up to the bottom entries."""
-        cells, offs, lens = self.cells, self.offs, self.lens
-        k = len(offs)
+        offs, cols = self.offs, self.cols
+        k = len(cols)
         if not 1 <= j <= k - 1:
             raise BadIndex(f"swap index {j} outside 1..{k - 1}")
-        len_j, len_j1 = lens[j - 1], lens[j]
+        left, right = cols[j - 1], cols[j]
+        len_j, len_j1 = len(left), len(right)
         x = len_j - len_j1
         if x < 0:
             raise BadIndex(f"column {j} shorter than column {j + 1}; swap undefined here")
+        if not len_j:
+            raise BadIndex(f"columns {j} and {j + 1} are empty; swap undefined here")
         d = 0
         if j >= 2:
             lo, ro = offs[j - 2], offs[j - 1]
-            d = max(0, min(lo + lens[j - 2], ro + len_j) - max(lo, ro))
-        bottom_left = cells[(j - 1, offs[j - 1] + len_j - 1)]
-        bottom_right = cells[(j, offs[j] + len_j1 - 1)] if len_j1 else None
+            d = max(0, min(lo + len(cols[j - 2]), ro + len_j) - max(lo, ro))
+        bottom_left = left[-1]
+        bottom_right = right[-1] if right else None
         self.pull_down(j - 1, d)
         for _ in range(x):
             self.slide_under(j)
-        got = (lens[j - 1], lens[j])
+        got = (len(left), len(right))
         if got != (len_j1, len_j):
             raise TableauError(f"length swap produced lengths {got}, wanted {(len_j1, len_j)}")
-        return x, d, bottom_left, bottom_right, self.cells[(j, offs[j] + len_j - 1)]
+        return x, d, bottom_left, bottom_right, right[-1]
 
 
 def length_swap(u: SkewTableau, j: int, collect=None) -> SkewTableau:
@@ -517,11 +475,11 @@ def length_swap(u: SkewTableau, j: int, collect=None) -> SkewTableau:
     fields = w.length_swap(j)
     if fields[0]:
         # As after any slide (see _from_cells), empty columns sit at row 0.
-        w.offs = [off if n else 0 for off, n in zip(w.offs, w.lens)]
-    v = SkewTableau(w.columns())
+        w.offs = [off if col else 0 for off, col in zip(w.offs, w.cols)]
+    after = w.snapshot()
     if collect is not None:
-        collect.append(LengthSwapStep(j, *fields, before, w.snapshot()))
-    return v
+        collect.append(LengthSwapStep(j, *fields, before, after))
+    return after.skew()
 
 
 # -- keys via frank tableaux ----------------------------------------------
@@ -544,7 +502,7 @@ def right_key_column_oracle(t: Tableau, i: int, collect=None) -> tuple[int, ...]
             after = w.snapshot()
             collect.append(LengthSwapStep(j, *fields, before, after))
             before = after
-    return w.column(k - 1)
+    return tuple(w.cols[-1])
 
 
 def right_key_oracle(t: Tableau, collect=None) -> Tableau:

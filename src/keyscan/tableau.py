@@ -368,19 +368,6 @@ class SkewTableau:
     def offsets(self) -> tuple[int, ...]:
         return tuple(off for off, _ in self.columns)
 
-    @property
-    def num_boxes(self) -> int:
-        return sum(len(col) for _, col in self.columns)
-
-    def cell(self, c: int, r: int):
-        """Entry at column ``c``, absolute row ``r`` (both 0-based), or None."""
-        if not 0 <= c < len(self.columns):
-            return None
-        off, col = self.columns[c]
-        if off <= r < off + len(col):
-            return col[r - off]
-        return None
-
     def cells(self) -> dict[tuple[int, int], int]:
         """All filled cells as a ``{(column, row): entry}`` dict."""
         out = {}
@@ -388,19 +375,3 @@ class SkewTableau:
             for r, e in enumerate(col):
                 out[(c, off + r)] = e
         return out
-
-    def is_straight(self) -> bool:
-        lens = [len(col) for _, col in self.columns if col]
-        return (
-            all(off == 0 for off, col in self.columns if col)
-            and all(a >= b for a, b in zip(lens, lens[1:]))
-            and all(col for _, col in self.columns)
-        )
-
-    def to_tableau(self, n=None) -> Tableau:
-        if not self.is_straight():
-            raise RaggedShape("skew tableau is not of straight shape")
-        cols = tuple(col for _, col in self.columns if col)
-        if n is None:
-            n = max((e for col in cols for e in col), default=1)
-        return Tableau(cols, n)

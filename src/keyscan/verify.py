@@ -9,7 +9,6 @@ oracles plus the structural key/order invariants.  Used by the CLI
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import jdt, scanning
@@ -157,6 +156,10 @@ def run_sweep(max_boxes: int, max_entry: int, jobs: int = 1,
         for shape in shapes_up_to(max_boxes, max_entry)
     ]
     if jobs > 1:
+        # Imported here: the process pool costs every CLI start a third of
+        # its import time, and only a parallel sweep uses it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for rep in pool.map(_sweep_shape, work):
                 report.merge(rep)

@@ -1,6 +1,15 @@
+import gc
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import pytest
 
-from keyscan import scanning
+import keyscan
+from keyscan import jdt, scanning
+from keyscan.tableau import parse_tableau
 from keyscan.cli import build_parser, main
 
 from conftest import EXAMPLE_KEY_TEXT, EXAMPLE_T_TEXT
@@ -16,6 +25,16 @@ def run(capsys, monkeypatch, argv, stdin=None):
     return code, out.out, out.err
 
 
+def run_python(code):
+    """Run ``code`` in a fresh interpreter that imports this keyscan."""
+    src = str(Path(keyscan.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 class TestRightKey:
     def test_stdin(self, capsys, monkeypatch):
         code, out, err = run(capsys, monkeypatch, ["right-key"], stdin=EXAMPLE_T_TEXT)
@@ -28,6 +47,16 @@ class TestRightKey:
         code, out, _ = run(capsys, monkeypatch, ["right-key", str(f)])
         assert code == 0
         assert out == "n=9\n" + EXAMPLE_KEY_TEXT
+
+    def test_file_is_closed(self, capsys, monkeypatch, tmp_path):
+        f = tmp_path / "t.txt"
+        f.write_text(EXAMPLE_T_TEXT)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run(capsys, monkeypatch, ["right-key", str(f)])
+            gc.collect()
+        assert code == 0
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_explain_goes_to_stderr(self, capsys, monkeypatch):
         code, out, err = run(
@@ -94,6 +123,13 @@ class TestLeftKey:
         assert code == 0
         assert "AGREE" in err
 
+    def test_oracle_disagreement_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(jdt, "left_key_oracle", lambda t: parse_tableau("n=3\n1 3\n2\n"))
+        code, out, err = run(capsys, monkeypatch, ["left-key", "--oracle"], stdin="1 3\n2\n")
+        assert code == 2
+        assert out == "n=3\n1 2\n2\n"
+        assert err == "DISAGREE\nn=3\n1 3\n2\n"
+
 
 class TestVerify:
     def test_small_sweep(self, capsys, monkeypatch):
@@ -114,6 +150,21 @@ class TestVerify:
         )
         assert code == 1
         assert out == "" and "error: --jobs" in err
+
+    def test_parallel_sweep_matches_serial(self):
+        # A fresh interpreter, so that only the sweep can load the pool.
+        proc = run_python(
+            "import sys\n"
+            "from keyscan.verify import run_sweep\n"
+            "def counts(r):\n"
+            "    return r.shapes, r.tableaux, r.keys, r.swaps, r.counterexamples\n"
+            "serial = counts(run_sweep(4, 3, jobs=1))\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "assert counts(run_sweep(4, 3, jobs=2)) == serial\n"
+            "print(serial)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "(10, 70, 34, 188, [])\n"
 
     def test_check_swaps(self, capsys, monkeypatch):
         code, out, _ = run(
@@ -198,6 +249,16 @@ class TestEnumerate:
         assert code == 0
         assert "3 tableaux" in err
         assert out == "1 1\n\n1 2\n\n2 2\n\n"
+
+
+class TestStartup:
+    def test_import_leaves_process_pool_unloaded(self):
+        proc = run_python(
+            "import sys, keyscan.cli\n"
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestParser:

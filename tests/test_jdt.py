@@ -12,8 +12,6 @@ from keyscan.jdt import (
     is_frank,
     left_key_oracle,
     length_swap,
-    pull_down,
-    pull_down_by_slides,
     rectify,
     reversal_dual,
     reverse_slide,
@@ -118,7 +116,9 @@ class TestRectify:
             corners = _strict_inside_corners(u.cells())
             if not corners:
                 # Slides keep emptied columns; a rectified tableau drops them.
-                return SkewTableau(tuple(c for c in u.columns if c[1])).to_tableau(), traces
+                cols = tuple(col for _off, col in u.columns if col)
+                assert all(off == 0 for off, col in u.columns if col)
+                return Tableau(cols, max(max(col) for col in cols)), traces
             u, tr = forward_slide(u, choose(corners))
             traces.append(tr)
 
@@ -151,31 +151,6 @@ class TestFrank:
             assert rectify(u, n=example_t.n) == example_t
 
 
-class TestPullDown:
-    def test_noop(self):
-        u = SkewTableau(((0, (1, 2)), (0, (1,))))
-        assert pull_down(u, 0, 3) == u
-        assert pull_down(u, 2, 0) == u
-
-    def test_shift_and_undo(self):
-        u = SkewTableau(((1, (2, 3)), (0, (1, 2, 4))))
-        v = pull_down(u, 1, 1)
-        assert v.offsets() == (2, 0)
-        assert pull_down(v, 1, -1) == u
-
-    def test_illegal_shift(self):
-        u = SkewTableau(((0, (1, 2)), (0, (1,))))
-        with pytest.raises(IllegalShift):
-            pull_down(u, 1, -1)
-        with pytest.raises(IllegalShift):
-            pull_down(u, 3, 1)
-
-    def test_slides_realize_the_shift(self):
-        u = SkewTableau(((1, (2, 3)), (0, (1, 2, 4))))
-        assert pull_down_by_slides(u, 1, 1) == pull_down(u, 1, 1)
-        assert pull_down_by_slides(u, 1, 2) == pull_down(u, 1, 2)
-
-
 class TestLengthSwap:
     def test_example_first_swap(self, example_t):
         u = SkewTableau.from_tableau(example_t)
@@ -194,6 +169,11 @@ class TestLengthSwap:
             length_swap(u, 0)
         with pytest.raises(BadIndex):
             length_swap(u, 5)
+
+    def test_empty_columns_bad_index(self):
+        u = SkewTableau(((0, (1,)), (0, ()), (0, ())))
+        with pytest.raises(BadIndex):
+            length_swap(u, 2)
 
     def test_two_case_bottom_rule(self):
         for t in small_census():
@@ -214,8 +194,9 @@ class TestLengthSwap:
 
 def reference_right_key_column(t, i):
     """Column i of the right key by the length-swap choreography written
-    with the public pull_down and reverse_slide only, and the fields of
-    each swap's LengthSwapStep."""
+    with the public reverse_slide only, and the fields of each swap's
+    LengthSwapStep.  A pull-down is d reverse slides under each of the
+    columns it moves."""
     u = SkewTableau.from_tableau(t)
     steps = []
     for j in range(i, t.k):
@@ -225,7 +206,15 @@ def reference_right_key_column(t, i):
         if j >= 2:
             off, col = u.columns[j - 2]
             d = max(0, min(off + len(col), left_off + len(left)) - max(off, left_off))
-        v = pull_down(u, j - 1, d)
+        v = u
+        for c in range(j - 1):
+            for _ in range(d):
+                off, col = v.columns[c]
+                v, _tr = reverse_slide(v, (c, off + len(col)))
+        assert v.columns == tuple(
+            (off + d, col) if c < j - 1 else (off, col)
+            for c, (off, col) in enumerate(u.columns)
+        )
         for _ in range(x):
             off, col = v.columns[j]
             v, _tr = reverse_slide(v, (j, off + len(col)))
@@ -260,13 +249,19 @@ class TestInPlaceOracle:
         ]
         w = _WorkingTableau([off for off, _ in legal], [col for _, col in legal])
         w.check(1, 1)
-        for cell, entry, error in plants:
+        for (c, r), entry, error in plants:
             w = _WorkingTableau([off for off, _ in legal], [col for _, col in legal])
-            w.cells[cell] = entry
+            w.cols[c][r - w.offs[c]] = entry
             with pytest.raises(error):
-                SkewTableau(w.columns())
+                SkewTableau(tuple((off, tuple(col)) for off, col in zip(w.offs, w.cols)))
             with pytest.raises(error):
                 w.check(1, 1)
+
+    def test_illegal_pull_down_is_caught(self):
+        # Column 1 and the 1 of column 2 share no row until the shift.
+        w = _WorkingTableau([0, 1], [(5,), (1,)])
+        with pytest.raises(IllegalShift):
+            w.pull_down(1, 1)
 
     def test_illegal_slide_is_caught(self):
         # Sliding under column 2 moves the 5 of column 1 right, beside the
