@@ -6,17 +6,17 @@ rightmost column of a frank skew tableau (rightmost length = i-th column
 length) rectifying to T, obtained by a choreography of column pull-downs
 and reverse slides; the left key dually uses leftmost columns.
 
-The public slides and rectification work on a ``{(column, row): entry}``
-cell dict.  Tie-breaking when the two candidate neighbors of the hole are
-equal: the column neighbor moves (below on forward slides, above on
-reverse slides); moving the row neighbor would put equal entries in the
-same column.
+The public slides work on a ``{(column, row): entry}`` cell dict and are
+the from-scratch reference.  Tie-breaking when the two candidate
+neighbors of the hole are equal: the column neighbor moves (below on
+forward slides, above on reverse slides); moving the row neighbor would
+put equal entries in the same column.
 
 The oracle validates at its boundary: public functions take and return
-validated tableaux.  Inside, the right-key choreography runs in place on
-column offsets and one entry list per column, sharing no code with the
-public slides, and after each pull-down or reverse slide it re-checks
-legality on the columns that step changed.
+validated tableaux.  Inside, rectification and the right-key
+choreography run in place on column offsets and one entry list per
+column, sharing no code with the public slides; the choreography
+re-checks legality on the columns each pull-down or reverse slide changed.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from .tableau import (
     DecreasingRow,
     NonDecreasingColumn,
-    RaggedShape,
     SkewTableau,
     Tableau,
     TableauError,
@@ -48,6 +47,10 @@ class IllegalShift(TableauError):
 
 class BadIndex(TableauError):
     pass
+
+
+class NotASkewShape(TableauError):
+    """The filled cells of a skew tableau do not form a skew shape."""
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,7 @@ class _Snapshot:
         return hash(self.skew())
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LengthSwapStep:
     """Record of one length swap: index, slide count, pull-down depth,
     and the bottom entries of the two columns before/after.
@@ -207,130 +210,122 @@ def reverse_slide(u: SkewTableau, corner) -> tuple[SkewTableau, SlideTrace]:
 # -- rectification ---------------------------------------------------------
 
 
-def _extents(cells: dict):
-    """The lowest filled row of each column and the rightmost filled
-    column of each row."""
+def _strict_inside_corners(cells: dict):
+    """Inner cells (empty, with a filled cell below in their column or to
+    the right in their row) whose right and lower neighbors are not inner:
+    the holes a rectification slide may legally start from."""
     col_end: dict[int, int] = {}
     row_end: dict[int, int] = {}
-    for (c, r) in cells:
+    for c, r in cells:
         if col_end.get(c, -1) < r:
             col_end[c] = r
         if row_end.get(r, -1) < c:
             row_end[r] = c
-    return col_end, row_end
-
-
-def _inner_cells(cells: dict, col_end, row_end):
-    """Empty cells still northwest of the filling: those with a filled
-    cell somewhere below in their column or to the right in their row
-    (``col_end`` and ``row_end`` are the :func:`_extents` of ``cells``)."""
     inner = {(c, r) for c, rmax in col_end.items() for r in range(rmax)}
     inner.update([(c, r) for r, cmax in row_end.items() for c in range(cmax)])
     inner.difference_update(cells)
-    return inner
+    return sorted((c, r) for c, r in inner if (c + 1, r) not in inner and (c, r + 1) not in inner)
 
 
-def _is_corner(inner, c: int, r: int) -> bool:
-    return (c, r) in inner and (c + 1, r) not in inner and (c, r + 1) not in inner
-
-
-def _strict_inside_corners(cells: dict):
-    """Inner cells whose right and below neighbors are not inner: the
-    holes a rectification slide may legally start from."""
-    inner = _inner_cells(cells, *_extents(cells))
-    return sorted((c, r) for (c, r) in inner if _is_corner(inner, c, r))
-
-
-def _update_corners(cells, col_end, row_end, inner, corners, start, end):
-    """Bring the extents, the inner cells and the strict inside corners up
-    to date after a forward slide filled ``start`` and emptied ``end``.
-
-    A cell is inner while a filled cell lies below it in its column or to
-    its right in its row, so besides ``start`` and ``end`` only the empty
-    cells of a column or row whose extent moved can change; a corner can
-    change only at a changed cell or at its left or upper neighbor."""
-    changed = [start, end]
-    c, r = start
-    last = col_end.get(c, -1)
-    if last < r:
-        changed += [(c, q) for q in range(last + 1, r)]
-        col_end[c] = r
-    last = row_end.get(r, -1)
-    if last < c:
-        changed += [(q, r) for q in range(last + 1, c)]
-        row_end[r] = c
-    c, r = end
-    if col_end[c] == r:
-        q = r - 1
-        while q >= 0 and (c, q) not in cells:
-            q -= 1
-        if q < 0:
-            del col_end[c]
+def _skew_columns(u: SkewTableau):
+    """The tops and entry lists of the columns of ``u``, plus one empty
+    column at the right.  An empty column's top is the bottom of the
+    nearest filled column to its right (0 if none); then column c has a
+    strict inside corner, the cell above its top, exactly when its top
+    is below that of column c + 1."""
+    tops, cols = [0], [[]]
+    top = bottom = 0
+    for c in range(len(u.columns) - 1, -1, -1):
+        off, col = u.columns[c]
+        if col:
+            if off < top or off + len(col) < bottom:
+                raise NotASkewShape(f"column {c + 1} breaks the skew shape of the filled cells")
+            top, bottom = off, off + len(col)
         else:
-            col_end[c] = q
-        if q < r - 1:
-            changed += [(c, p) for p in range(q + 1, r)]
-    if row_end[r] == c:
-        q = c - 1
-        while q >= 0 and (q, r) not in cells:
-            q -= 1
-        if q < 0:
-            del row_end[r]
-        else:
-            row_end[r] = q
-        if q < c - 1:
-            changed += [(p, r) for p in range(q + 1, c)]
-    for c, r in changed:
-        if (c, r) not in cells and (col_end.get(c, -1) > r or row_end.get(r, -1) > c):
-            inner.add((c, r))
-        else:
-            inner.discard((c, r))
-    for c, r in changed:
-        for a, b in ((c, r), (c - 1, r), (c, r - 1)):
-            if _is_corner(inner, a, b):
-                corners.add((a, b))
-            else:
-                corners.discard((a, b))
-
-
-def _straight_tableau(cells: dict, n) -> Tableau:
-    """The tableau whose straight shape ``cells`` fills."""
-    cols = []
-    c = 0
-    while (c, 0) in cells:
-        col = []
-        r = 0
-        while (c, r) in cells:
-            col.append(cells[(c, r)])
-            r += 1
-        cols.append(tuple(col))
-        c += 1
-    if sum(map(len, cols)) != len(cells):
-        raise RaggedShape("skew tableau is not of straight shape")
-    if n is None:
-        n = max(cells.values(), default=1)
-    return Tableau(tuple(cols), n)
+            top = bottom
+        tops.append(top)
+        cols.append(list(col))
+    tops.reverse()
+    cols.reverse()
+    return tops, cols
 
 
 def rectify(u: SkewTableau, n=None, choose=None, collect=None) -> Tableau:
     """Rectification: forward-slide inside corners until none remain.
 
-    ``choose`` picks among the available corners, given in sorted order
-    (default: the first); the result is independent of the choice.
-    ``collect`` gathers SlideTrace records.  The corners are found once
-    and then updated after each slide.
+    The filled cells of ``u`` must form a skew shape: from left to right
+    the tops and the bottoms of the filled columns weakly decrease, and an
+    empty column between two filled ones needs the top of the left one at
+    or below the bottom of the right one.  Any other diagram raises
+    :class:`NotASkewShape`.  ``choose`` picks among the available corners,
+    given as a sorted list of (column, row) cells (default: the first);
+    the result is independent of the choice.  ``collect`` gathers
+    SlideTrace records.
+
+    The slides run in place on column lists, the corners are read off
+    the column tops, and the straight result is validated once, as a
+    Tableau.
     """
-    cells = u.cells()
-    col_end, row_end = _extents(cells)
-    inner = _inner_cells(cells, col_end, row_end)
-    corners = {(c, r) for (c, r) in inner if _is_corner(inner, c, r)}
-    while corners:
-        corner = min(corners) if choose is None else choose(sorted(corners))
-        path = _forward_path(cells, *corner)
+    tops, cols = _skew_columns(u)
+    k = len(cols) - 1
+    c = 0
+    path = None
+    while True:
+        if choose is None:
+            while c < k and tops[c] <= tops[c + 1]:
+                c += 1
+            if c == k:
+                break
+        else:
+            corners = [(a, tops[a] - 1) for a in range(k) if tops[a] > tops[a + 1]]
+            if not corners:
+                break
+            c = choose(corners)[0]
+        first = c
+        tops[c] -= 1
+        col = cols[c]
+        col.insert(0, None)  # the hole, at index h of column c
+        h = 0
         if collect is not None:
-            collect.append(SlideTrace(corner, tuple(path), "forward"))
-        _update_corners(cells, col_end, row_end, inner, corners, corner, path[-1])
-    return _straight_tableau(cells, n)
+            path = [(c, tops[c])]
+        while True:
+            right_col = cols[c + 1]
+            i = h + tops[c] - tops[c + 1]  # the index of the right neighbor
+            last, m = len(col) - 1, len(right_col)
+            # The hole moves down while the entry below is no larger than
+            # the one to its right, then right if there is one.
+            while h < last and not (0 <= i < m and right_col[i] < col[h + 1]):
+                col[h] = col[h + 1]
+                h += 1
+                i += 1
+                if path is not None:
+                    path.append((c, tops[c] + h))
+            if not 0 <= i < m:
+                break
+            col[h] = right_col[i]
+            c, col, h = c + 1, right_col, i
+            if path is not None:
+                path.append((c, tops[c] + h))
+        # The hole stops at the bottom of column c.  Only the tops of the
+        # start column, of column c if it empties and of the empty columns
+        # just left of column c change.
+        col.pop()
+        if not col:
+            tops[c] = tops[c + 1] + len(cols[c + 1])
+        a = c
+        while a and not cols[a - 1]:
+            a -= 1
+            tops[a] = tops[c] + len(col)
+        if path is not None:
+            collect.append(SlideTrace(path[0], tuple(path), "forward"))
+        # The first corner had none left of it, and only the tops from
+        # column min(a, first) on changed: resume the search next to it.
+        a = a if a < first else first
+        c = a - 1 if a else 0
+    filled = [col for col in cols if col]
+    if n is None:
+        n = max([col[-1] for col in filled], default=1)
+    return Tableau(tuple([tuple(col) for col in filled]), n)
 
 
 def is_frank(u: SkewTableau, rectified: Tableau | None = None) -> bool:
@@ -411,7 +406,7 @@ class _WorkingTableau:
         h = len(col)  # the hole's index in column c; its row is r
         r = offs[j] + h
         if not h and not (j and offs[j - 1] <= r < offs[j - 1] + len(cols[j - 1])):
-            raise NotAnOutsideCorner(f"({j + 1},{r + 1}) is not an outside corner")
+            raise BadIndex(f"({j + 1},{r + 1}) is not an outside corner; swap undefined here")
         col.append(None)
         while True:
             above = col[h - 1] if h else None
@@ -458,7 +453,7 @@ class _WorkingTableau:
             self.slide_under(j)
         got = (len(left), len(right))
         if got != (len_j1, len_j):
-            raise TableauError(f"length swap produced lengths {got}, wanted {(len_j1, len_j)}")
+            raise BadIndex(f"swap {j} undefined here: its slides gave lengths {got}, wanted {(len_j1, len_j)}")
         return x, d, bottom_left, bottom_right, right[-1]
 
 
@@ -467,8 +462,12 @@ def length_swap(u: SkewTableau, j: int, collect=None) -> SkewTableau:
     columns j and j+1 by pulling the columns left of j out of the way and
     running reverse slides under column j+1.
 
-    Requires column j at least as long as column j+1 (always true in the
-    right-key choreography, where the travelling column is longest).
+    The swap is defined when column j is filled and at least as long as
+    column j+1, and each of the reverse slides, one per box of the
+    difference, starts from an outside corner and ends at the top of
+    column j, moving one box of column j into column j+1.  The right-key
+    choreography meets this at every step.  An undefined swap raises
+    :class:`BadIndex`.
     """
     w = _WorkingTableau(u.offsets(), [col for _off, col in u.columns])
     before = w.snapshot() if collect is not None else None

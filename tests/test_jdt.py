@@ -7,6 +7,7 @@ from keyscan.jdt import (
     IllegalShift,
     NotAnInsideCorner,
     NotAnOutsideCorner,
+    NotASkewShape,
     canonical_skew_diagram,
     forward_slide,
     is_frank,
@@ -122,16 +123,70 @@ class TestRectify:
             u, tr = forward_slide(u, choose(corners))
             traces.append(tr)
 
+    @staticmethod
+    def recording(pick):
+        """A corner choice that picks with ``pick`` and keeps every corner
+        list it is offered."""
+        offered = []
+
+        def choose(corners):
+            offered.append(corners)
+            return pick(corners)
+
+        return choose, offered
+
+    def assert_matches_from_scratch(self, skews):
+        """Results, traces and offered corner lists agree with the first
+        and with the last corner chosen.  Where every list holds one
+        corner, the two choices make the same slides, so one run does."""
+        for u in skews:
+            for pick in (lambda cs: cs[0], lambda cs: cs[-1]):
+                choose, offered = self.recording(pick)
+                traces = []
+                got = rectify(u, choose=choose, collect=traces)
+                ref_choose, ref_offered = self.recording(pick)
+                ref, ref_traces = self.rectify_from_scratch(u, ref_choose)
+                assert (got, traces, offered) == (ref, ref_traces, ref_offered)
+                if all(len(cs) == 1 for cs in offered):
+                    break
+
     def test_incremental_corners_match_from_scratch(self):
         rng = random.Random(17)
         # In the last skew, the first slide moves the 1 left and empties
         # column 2, so the cell above it is no longer inner.
         skews = [random_skew(rng) for _ in range(400)] + [SkewTableau(((2, (2,)), (1, (1,))))]
-        for u in skews:
-            for choose in (lambda cs: cs[0], lambda cs: cs[-1]):
-                traces = []
-                got = rectify(u, choose=choose, collect=traces)
-                assert (got, traces) == self.rectify_from_scratch(u, choose)
+        self.assert_matches_from_scratch(skews)
+
+    def test_census_swaps_match_from_scratch(self):
+        # Each swap's before is the previous swap's after: keep one of each.
+        skews = {}
+        for t in small_census(6, 4):
+            steps = []
+            right_key_oracle(t, collect=steps)
+            skews.update((u, None) for st in steps for u in (st.before, st.after))
+        self.assert_matches_from_scratch(skews)
+
+    def test_empty_columns_match_from_scratch(self):
+        # An empty column fits where the column to its left starts at or
+        # below the bottom of the column to its right.  Its stored offset
+        # places no cell, so it is drawn at random.
+        rng = random.Random(19)
+        skews = []
+        while len(skews) < 300:
+            cols = list(random_skew(rng).columns)
+            p = rng.randint(0, len(cols))
+            if 0 < p < len(cols) and cols[p - 1][0] < cols[p][0] + len(cols[p][1]):
+                continue
+            cols.insert(p, (rng.randint(0, 3), ()))
+            skews.append(SkewTableau(tuple(cols)))
+        self.assert_matches_from_scratch(skews)
+
+    def test_non_skew_diagram_rejected(self):
+        # Column 2 starts below column 1; in the second diagram the empty
+        # column needs column 1 to start at or below the bottom of column 3.
+        for cols in [((0, (1,)), (2, (2,))), ((0, (1,)), (0, ()), (0, (2,)))]:
+            with pytest.raises(NotASkewShape):
+                rectify(SkewTableau(cols))
 
 
 class TestFrank:
@@ -174,6 +229,13 @@ class TestLengthSwap:
         u = SkewTableau(((0, (1,)), (0, ()), (0, ())))
         with pytest.raises(BadIndex):
             length_swap(u, 2)
+
+    def test_undefined_swap_bad_index(self):
+        # The first slide climbs column 2 to its top and takes no box of
+        # column 1; in the second there is no outside corner below column 2.
+        for cols in [((2, (3, 5, 6)), (1, (5, 6))), ((0, (1,)), (3, ()))]:
+            with pytest.raises(BadIndex):
+                length_swap(SkewTableau(cols), 1)
 
     def test_two_case_bottom_rule(self):
         for t in small_census():
