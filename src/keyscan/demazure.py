@@ -56,10 +56,6 @@ class SparsePolynomial:
                 raise ValueError("zero coefficient stored")
 
     @classmethod
-    def zero(cls, nvars):
-        return cls(nvars, {})
-
-    @classmethod
     def monomial(cls, exponents, coeff=1):
         exponents = tuple(exponents)
         return cls(len(exponents), {exponents: coeff} if coeff else {})
@@ -78,19 +74,6 @@ class SparsePolynomial:
 
     def coefficient(self, exponents) -> int:
         return self.terms.get(tuple(exponents), 0)
-
-    def swap_variables(self, i: int) -> "SparsePolynomial":
-        """Exchange variables i and i+1 (1-based i)."""
-        out: dict = {}
-        for mono, coeff in self.terms.items():
-            m = list(mono)
-            m[i - 1], m[i] = m[i], m[i - 1]
-            key = tuple(m)
-            out[key] = out.get(key, 0) + coeff
-        return SparsePolynomial(self.nvars, {m: c for m, c in out.items() if c})
-
-    def is_symmetric_in(self, i: int) -> bool:
-        return self == self.swap_variables(i)
 
     def __str__(self):
         return format_polynomial(self)

@@ -17,12 +17,14 @@ validated tableaux.  Inside, rectification and the right-key
 choreography run in place on column offsets and one entry list per
 column, sharing no code with the public slides; the choreography
 re-checks legality on the columns each pull-down or reverse slide changed.
+Its swap records carry scalars only: the skew tableau after each swap
+comes from :func:`length_swap`, chained from
+``SkewTableau.from_tableau(t)``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .tableau import (
     DecreasingRow,
@@ -70,37 +72,11 @@ class SlideTrace:
         return f"{self.direction} {cells}"
 
 
-class _Snapshot:
-    """The columns of a working tableau at one moment, built and validated
-    as a SkewTableau on first use."""
-
-    __slots__ = ("_columns", "_skew")
-
-    def __init__(self, columns):
-        self._columns = columns
-        self._skew = None
-
-    def skew(self) -> SkewTableau:
-        if self._skew is None:
-            self._skew = SkewTableau(self._columns)
-            self._columns = None
-        return self._skew
-
-    def __eq__(self, other):
-        return isinstance(other, _Snapshot) and self.skew() == other.skew()
-
-    def __hash__(self):
-        return hash(self.skew())
-
-
 @dataclass(slots=True)
 class LengthSwapStep:
     """Record of one length swap: index, slide count, pull-down depth,
-    and the bottom entries of the two columns before/after.
-
-    ``before`` and ``after`` are validated skew tableaux, built on first
-    access; in a choreography each swap's ``before`` is the previous
-    swap's ``after``."""
+    and the bottom entries of the two columns before/after.  The skew
+    tableaux themselves come from :func:`length_swap`."""
 
     j: int
     x: int
@@ -108,16 +84,6 @@ class LengthSwapStep:
     bottom_left_before: int
     bottom_right_before: int
     bottom_right_after: int
-    _before: _Snapshot = field(repr=False)
-    _after: _Snapshot = field(repr=False)
-
-    @property
-    def before(self) -> SkewTableau:
-        return self._before.skew()
-
-    @property
-    def after(self) -> SkewTableau:
-        return self._after.skew()
 
     def format_line(self) -> str:
         return (
@@ -208,23 +174,6 @@ def reverse_slide(u: SkewTableau, corner) -> tuple[SkewTableau, SlideTrace]:
 
 
 # -- rectification ---------------------------------------------------------
-
-
-def _strict_inside_corners(cells: dict):
-    """Inner cells (empty, with a filled cell below in their column or to
-    the right in their row) whose right and lower neighbors are not inner:
-    the holes a rectification slide may legally start from."""
-    col_end: dict[int, int] = {}
-    row_end: dict[int, int] = {}
-    for c, r in cells:
-        if col_end.get(c, -1) < r:
-            col_end[c] = r
-        if row_end.get(r, -1) < c:
-            row_end[r] = c
-    inner = {(c, r) for c, rmax in col_end.items() for r in range(rmax)}
-    inner.update([(c, r) for r, cmax in row_end.items() for c in range(cmax)])
-    inner.difference_update(cells)
-    return sorted((c, r) for c, r in inner if (c + 1, r) not in inner and (c, r + 1) not in inner)
 
 
 def _skew_columns(u: SkewTableau):
@@ -355,9 +304,6 @@ class _WorkingTableau:
         self.offs = list(offs)
         self.cols = [list(col) for col in cols]
 
-    def snapshot(self) -> _Snapshot:
-        return _Snapshot(tuple([(off, tuple(col)) for off, col in zip(self.offs, self.cols)]))
-
     def check(self, first: int, last: int):
         """Strictness down columns ``first..last`` (0-based) and the weak
         row condition on every adjacent pair that includes one of them;
@@ -470,15 +416,10 @@ def length_swap(u: SkewTableau, j: int, collect=None) -> SkewTableau:
     :class:`BadIndex`.
     """
     w = _WorkingTableau(u.offsets(), [col for _off, col in u.columns])
-    before = w.snapshot() if collect is not None else None
     fields = w.length_swap(j)
-    if fields[0]:
-        # As after any slide (see _from_cells), empty columns sit at row 0.
-        w.offs = [off if col else 0 for off, col in zip(w.offs, w.cols)]
-    after = w.snapshot()
     if collect is not None:
-        collect.append(LengthSwapStep(j, *fields, before, after))
-    return after.skew()
+        collect.append(LengthSwapStep(j, *fields))
+    return SkewTableau(tuple([(off, tuple(col)) for off, col in zip(w.offs, w.cols)]))
 
 
 # -- keys via frank tableaux ----------------------------------------------
@@ -494,13 +435,10 @@ def right_key_column_oracle(t: Tableau, i: int, collect=None) -> tuple[int, ...]
     if i == k:
         return t.columns[-1]
     w = _WorkingTableau([0] * k, t.columns)
-    before = w.snapshot() if collect is not None else None
     for j in range(i, k):
         fields = w.length_swap(j)
         if collect is not None:
-            after = w.snapshot()
-            collect.append(LengthSwapStep(j, *fields, before, after))
-            before = after
+            collect.append(LengthSwapStep(j, *fields))
     return tuple(w.cols[-1])
 
 
@@ -510,57 +448,6 @@ def right_key_oracle(t: Tableau, collect=None) -> Tableau:
         return t
     cols = tuple(right_key_column_oracle(t, i, collect) for i in range(1, t.k + 1))
     return Tableau(cols, t.n)
-
-
-def canonical_skew_diagram(lengths) -> tuple[int, ...]:
-    """Minimal offsets making the ordered column lengths a legal skew
-    diagram (outer and inner shapes both weakly decreasing)."""
-    k = len(lengths)
-    offs = [0] * k
-    for i in range(k - 2, -1, -1):
-        offs[i] = offs[i + 1] + max(0, lengths[i + 1] - lengths[i])
-    return tuple(offs)
-
-
-def skew_fillings(lengths, offsets, content):
-    """All legal skew fillings of the given diagram using exactly the
-    multiset ``content`` of entries.
-
-    Brute-force witness for the uniqueness of rectification preimages;
-    intended for tiny diagrams only.
-    """
-    k = len(lengths)
-    remaining = Counter(content)
-    filled: list[list[int]] = [[] for _ in range(k)]
-
-    def legal(c, r, v):
-        col = filled[c]
-        if col and v <= col[-1]:
-            return False
-        if c > 0 and offsets[c - 1] <= r < offsets[c - 1] + lengths[c - 1]:
-            if filled[c - 1][r - offsets[c - 1]] > v:
-                return False
-        return True
-
-    def rec(c, i):
-        if c == k:
-            yield SkewTableau(
-                tuple((offsets[j], tuple(filled[j])) for j in range(k))
-            )
-            return
-        if i == lengths[c]:
-            yield from rec(c + 1, 0)
-            return
-        r = offsets[c] + i
-        for v in sorted(remaining):
-            if remaining[v] and legal(c, r, v):
-                remaining[v] -= 1
-                filled[c].append(v)
-                yield from rec(c, i + 1)
-                filled[c].pop()
-                remaining[v] += 1
-
-    yield from rec(0, 0)
 
 
 def rotate_180(t: Tableau) -> SkewTableau:
@@ -585,14 +472,14 @@ def reversal_dual(t: Tableau) -> Tableau:
     return rectify(rotate_180(t), n=t.n)
 
 
-def left_key_oracle(t: Tableau, collect=None) -> Tableau:
+def left_key_oracle(t: Tableau) -> Tableau:
     """The left key of ``t``: complement duality applied to the right-key
     oracle of the reversal dual of ``t``."""
     if t.k == 0:
         return t
     dual = reversal_dual(t)
     cols = tuple(
-        tuple(sorted(t.n + 1 - e for e in right_key_column_oracle(dual, i, collect)))
+        tuple(sorted(t.n + 1 - e for e in right_key_column_oracle(dual, i)))
         for i in range(1, t.k + 1)
     )
     return Tableau(cols, t.n)

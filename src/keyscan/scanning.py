@@ -114,17 +114,6 @@ def scan_trace(t: Tableau) -> list[list[tuple[int, ...]]]:
     return traces
 
 
-def left_scan_sequence(t: Tableau) -> tuple[int, ...]:
-    """One right-to-left pass of the left-key method over all of ``t``.
-
-    Starting from the bottom entry of the last column, picks in each
-    earlier column the largest entry that is <= the previous pick.
-    """
-    if t.k == 0:
-        raise EmptySequence("left scan of an empty tableau")
-    return _left_pass(t.columns, [len(c) for c in t.columns])
-
-
 def _left_pass(cols, limits):
     """Single pass of the left-key scan; mutates ``limits`` with the
     dotted-box exclusions.  Returns the picked entries right-to-left."""

@@ -12,7 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 
@@ -112,10 +112,6 @@ class Tableau:
     def k(self) -> int:
         return len(self.columns)
 
-    @property
-    def num_boxes(self) -> int:
-        return sum(len(c) for c in self.columns)
-
     def rows(self) -> list[list[int]]:
         """The filling as top-left-justified rows."""
         height = len(self.columns[0]) if self.columns else 0
@@ -158,18 +154,6 @@ class Tableau:
             for e in col:
                 w[e - 1] += 1
         return tuple(w)
-
-    def complement(self) -> "Tableau":
-        """Replace each entry ``e`` by ``n+1-e`` and re-sort each column.
-
-        An involution when defined, but the result is not semistandard for
-        every input (the row condition can fail across columns of unequal
-        length); in that case a :class:`DecreasingRow` error is raised.
-        """
-        cols = tuple(
-            tuple(sorted(self.n + 1 - e for e in col)) for col in self.columns
-        )
-        return Tableau(cols, self.n)
 
     def __str__(self):
         return format_tableau(self)
@@ -328,7 +312,8 @@ def count_tableaux(shape, n: int) -> int:
 class SkewTableau:
     """A filling of a skew diagram, stored as (offset, entries) per column.
 
-    Column ``i`` occupies rows ``offset .. offset+len(entries)-1``.  After
+    Column ``i`` occupies rows ``offset .. offset+len(entries)-1``; an
+    empty column places no cell and is stored at offset 0.  After
     length swaps the column lengths need not be weakly decreasing; validity
     is adjacency-level only: strict down each column, weak along every pair
     of horizontally adjacent boxes.
@@ -340,6 +325,8 @@ class SkewTableau:
         for i, (off, col) in enumerate(self.columns):
             if off < 0:
                 raise RaggedShape(f"negative offset in column {i + 1}")
+            if off and not col:
+                raise RaggedShape(f"empty column {i + 1} stored at offset {off}, not 0")
             for r, e in enumerate(col):
                 if type(e) is not int or e < 1:
                     raise EntryOutOfBound(f"bad entry {e} in column {i + 1}")

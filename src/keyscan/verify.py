@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import jdt, scanning
-from .tableau import Tableau, entrywise_leq, enumerate_tableaux
+from .tableau import SkewTableau, Tableau, entrywise_leq, enumerate_tableaux
 
 
 # A module-level generator: a closure that calls itself is a reference
@@ -122,13 +122,22 @@ def check_tableau(t: Tableau, check_swaps: bool = False) -> tuple[list[str], int
         )
         if st.bottom_right_after != expected:
             fail(f"two-case bottom-entry rule violated at {st.format_line()}")
-        if check_swaps:
-            before_rect = jdt.rectify(st.before)
-            after_rect = jdt.rectify(st.after)
-            if not jdt.is_frank(st.before, before_rect) or not jdt.is_frank(st.after, after_rect):
-                fail(f"frankness lost at {st.format_line()}")
-            elif after_rect != before_rect:
-                fail(f"rectification changed at {st.format_line()}")
+
+    if check_swaps:
+        # The oracle records swaps i..k-1 for each column i in turn; walk
+        # the same chains through the public length swap, rectifying each
+        # skew tableau once.
+        records = iter(steps)
+        for i in range(1, t.k):
+            u = SkewTableau.from_tableau(t)
+            for j in range(i, t.k):
+                u = jdt.length_swap(u, j)
+                st = next(records)
+                rect = jdt.rectify(u, n=t.n)
+                if not jdt.is_frank(u, rect):
+                    fail(f"frankness lost at {st.format_line()}")
+                elif rect != t:
+                    fail(f"rectification changed at {st.format_line()}")
 
     return failures, len(steps)
 

@@ -1,0 +1,91 @@
+"""Test-only witnesses and reference helpers that the package does not need."""
+
+from collections import Counter
+
+from keyscan import jdt
+from keyscan.demazure import SparsePolynomial
+from keyscan.tableau import SkewTableau
+
+
+def swap_chain(t, i):
+    """The skew tableaux after length swaps i..k-1 of ``t`` (i 1-based),
+    each swap applied by the public ``jdt.length_swap`` to the one before,
+    starting from ``t`` itself: the choreography of right-key column i."""
+    u = SkewTableau.from_tableau(t)
+    for j in range(i, t.k):
+        u = jdt.length_swap(u, j)
+        yield u
+
+
+def strict_inside_corners(cells: dict):
+    """Inner cells (empty, with a filled cell below in their column or to
+    the right in their row) whose right and lower neighbors are not inner:
+    the holes a rectification slide may legally start from."""
+    col_end: dict[int, int] = {}
+    row_end: dict[int, int] = {}
+    for c, r in cells:
+        if col_end.get(c, -1) < r:
+            col_end[c] = r
+        if row_end.get(r, -1) < c:
+            row_end[r] = c
+    inner = {(c, r) for c, rmax in col_end.items() for r in range(rmax)}
+    inner.update([(c, r) for r, cmax in row_end.items() for c in range(cmax)])
+    inner.difference_update(cells)
+    return sorted((c, r) for c, r in inner if (c + 1, r) not in inner and (c, r + 1) not in inner)
+
+
+def canonical_skew_diagram(lengths) -> tuple[int, ...]:
+    """Minimal offsets making the ordered column lengths a legal skew
+    diagram (outer and inner shapes both weakly decreasing)."""
+    k = len(lengths)
+    offs = [0] * k
+    for i in range(k - 2, -1, -1):
+        offs[i] = offs[i + 1] + max(0, lengths[i + 1] - lengths[i])
+    return tuple(offs)
+
+
+def skew_fillings(lengths, offsets, content):
+    """All legal skew fillings of the given diagram of positive column
+    lengths using exactly the multiset ``content`` of entries.
+
+    Brute-force witness for the uniqueness of rectification preimages;
+    intended for tiny diagrams only.
+    """
+    cells = [(c, offsets[c] + i) for c in range(len(lengths)) for i in range(lengths[c])]
+    yield from _fill_skew(cells, 0, offsets, Counter(content), [[] for _ in lengths])
+
+
+# Fills ``cells[pos:]`` column by column, the earlier cells being filled.
+# Module-level, not a closure that calls itself: such a closure is a
+# reference cycle left for the cyclic garbage collector.
+def _fill_skew(cells, pos, offsets, remaining, filled):
+    if pos == len(cells):
+        yield SkewTableau(tuple((off, tuple(col)) for off, col in zip(offsets, filled)))
+        return
+    c, r = cells[pos]
+    col = filled[c]
+    lo = col[-1] + 1 if col else 1
+    if c and offsets[c - 1] <= r < offsets[c - 1] + len(filled[c - 1]):
+        lo = max(lo, filled[c - 1][r - offsets[c - 1]])
+    for v in sorted(remaining):
+        if remaining[v] and v >= lo:
+            remaining[v] -= 1
+            col.append(v)
+            yield from _fill_skew(cells, pos + 1, offsets, remaining, filled)
+            col.pop()
+            remaining[v] += 1
+
+
+def swap_variables(p: SparsePolynomial, i: int) -> SparsePolynomial:
+    """Exchange variables i and i+1 (1-based i)."""
+    out: dict = {}
+    for mono, coeff in p.terms.items():
+        m = list(mono)
+        m[i - 1], m[i] = m[i], m[i - 1]
+        key = tuple(m)
+        out[key] = out.get(key, 0) + coeff
+    return SparsePolynomial(p.nvars, {m: c for m, c in out.items() if c})
+
+
+def is_symmetric_in(p: SparsePolynomial, i: int) -> bool:
+    return p == swap_variables(p, i)

@@ -27,6 +27,7 @@ from keyscan.tableau import (
 from keyscan.verify import shapes_up_to
 
 from conftest import EXAMPLE_KEY_TEXT, EXAMPLE_T_TEXT, random_skew
+from helpers import canonical_skew_diagram, skew_fillings, strict_inside_corners, swap_chain
 
 CENSUS_MAX_BOXES = 8
 CENSUS_MAX_ENTRY = 5
@@ -157,7 +158,7 @@ def test_criterion_4_left_key_cross_check(capsys, census, sweep):
     )
 
 
-def test_criterion_5_jdt_soundness(capsys, sweep):
+def test_criterion_5_jdt_soundness(capsys, census, sweep):
     failures = []
 
     rng = random.Random(20260826)
@@ -176,7 +177,7 @@ def test_criterion_5_jdt_soundness(capsys, sweep):
     rng2 = random.Random(4242)
     for _ in range(500):
         u = random_skew(rng2)
-        for corner in jdt._strict_inside_corners(u.cells()):
+        for corner in strict_inside_corners(u.cells()):
             v, tr = jdt.forward_slide(u, corner)
             back, tr2 = jdt.reverse_slide(v, tr.end)
             if back != u or tr2.end != corner:
@@ -189,8 +190,17 @@ def test_criterion_5_jdt_soundness(capsys, sweep):
             st.bottom_left_before, st.bottom_right_before
         ):
             swap_failures += 1
-        if not jdt.is_frank(st.after):
-            swap_failures += 1
+    # The skew tableaux come from the public length swap, chained along
+    # the oracle's choreography for every right-key column.
+    frank_checked = 0
+    for t in census:
+        for i in range(1, t.k):
+            for u in swap_chain(t, i):
+                frank_checked += 1
+                if not jdt.is_frank(u):
+                    swap_failures += 1
+    if frank_checked != len(sweep["steps"]):
+        failures.append(f"{frank_checked} chained swaps, {len(sweep['steps'])} recorded")
     if swap_failures:
         failures.append(f"{swap_failures} length-swap rule/frankness failures")
 
@@ -213,10 +223,10 @@ def test_criterion_6_unique_rectification_preimage(capsys):
         for t in enumerate_tableaux(shape, 4):
             content = [e for col in t.columns for e in col]
             for lengths in set(itertools.permutations(t.shape)):
-                offsets = jdt.canonical_skew_diagram(lengths)
+                offsets = canonical_skew_diagram(lengths)
                 hits = sum(
                     1
-                    for u in jdt.skew_fillings(lengths, offsets, content)
+                    for u in skew_fillings(lengths, offsets, content)
                     if jdt.rectify(u, n=t.n) == t
                 )
                 checked += 1

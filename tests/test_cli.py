@@ -1,4 +1,5 @@
 import gc
+import itertools
 import os
 import subprocess
 import sys
@@ -8,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import keyscan
-from keyscan import jdt, scanning
-from keyscan.tableau import parse_tableau
+from keyscan import jdt, scanning, verify
+from keyscan.tableau import Tableau, parse_tableau
 from keyscan.cli import build_parser, main
 
 from conftest import EXAMPLE_KEY_TEXT, EXAMPLE_T_TEXT
@@ -174,6 +175,29 @@ class TestVerify:
         )
         assert code == 0
         assert "0 counterexamples" in out
+
+    def test_check_swaps_can_fail(self, monkeypatch):
+        t = parse_tableau(EXAMPLE_T_TEXT)
+        monkeypatch.setattr(verify.jdt, "is_frank", lambda *args: False)
+        failures, _ = verify.check_tableau(t, check_swaps=True)
+        # The example has five columns: 4 + 3 + 2 + 1 swaps, each reported.
+        assert len(failures) == 10
+        assert all("frankness lost at swap j=" in f for f in failures)
+        monkeypatch.undo()
+
+        # Each rectification keeps the shape and entries but gets its own
+        # entry bound, so it equals neither the tableau nor another one.
+        bumps = itertools.count(1)
+        rectify = jdt.rectify
+
+        def rebound(u, *args, **kwargs):
+            r = rectify(u, *args, **kwargs)
+            return Tableau(r.columns, r.n + next(bumps))
+
+        monkeypatch.setattr(verify.jdt, "rectify", rebound)
+        failures, _ = verify.check_tableau(t, check_swaps=True)
+        assert any("rectification changed at swap j=" in f for f in failures)
+        assert not any("frankness lost" in f for f in failures)
 
 
 class TestDemazure:

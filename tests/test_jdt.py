@@ -8,7 +8,6 @@ from keyscan.jdt import (
     NotAnInsideCorner,
     NotAnOutsideCorner,
     NotASkewShape,
-    canonical_skew_diagram,
     forward_slide,
     is_frank,
     left_key_oracle,
@@ -19,8 +18,6 @@ from keyscan.jdt import (
     right_key_column_oracle,
     right_key_oracle,
     rotate_180,
-    skew_fillings,
-    _strict_inside_corners,
     _WorkingTableau,
 )
 from keyscan.tableau import (
@@ -34,6 +31,7 @@ from keyscan.tableau import (
 from keyscan.verify import shapes_up_to
 
 from conftest import EXAMPLE_KEY_TEXT, random_skew
+from helpers import canonical_skew_diagram, skew_fillings, strict_inside_corners, swap_chain
 
 
 def small_census(max_boxes=5, max_entry=4):
@@ -67,7 +65,7 @@ class TestSlides:
         rng = random.Random(7)
         for _ in range(300):
             u = random_skew(rng)
-            for corner in _strict_inside_corners(u.cells()):
+            for corner in strict_inside_corners(u.cells()):
                 v, tr = forward_slide(u, corner)
                 back, tr2 = reverse_slide(v, tr.end)
                 assert back == u
@@ -90,7 +88,7 @@ class TestRectify:
         for _ in range(200):
             u = random_skew(rng)
             t = rectify(u, n=9)
-            assert t.num_boxes == len(u.cells())
+            assert sum(t.shape) == len(u.cells())
             entries = [e for col in t.columns for e in col]
             assert sorted(entries) == sorted(u.cells().values())
 
@@ -114,7 +112,7 @@ class TestRectify:
         """Rectification that finds every corner again after each slide."""
         traces = []
         while True:
-            corners = _strict_inside_corners(u.cells())
+            corners = strict_inside_corners(u.cells())
             if not corners:
                 # Slides keep emptied columns; a rectified tableau drops them.
                 cols = tuple(col for _off, col in u.columns if col)
@@ -158,18 +156,18 @@ class TestRectify:
         self.assert_matches_from_scratch(skews)
 
     def test_census_swaps_match_from_scratch(self):
-        # Each swap's before is the previous swap's after: keep one of each.
+        # Every tableau and every skew tableau its swap chains pass through.
         skews = {}
         for t in small_census(6, 4):
-            steps = []
-            right_key_oracle(t, collect=steps)
-            skews.update((u, None) for st in steps for u in (st.before, st.after))
+            skews[SkewTableau.from_tableau(t)] = None
+            for i in range(1, t.k):
+                skews.update((u, None) for u in swap_chain(t, i))
         self.assert_matches_from_scratch(skews)
 
     def test_empty_columns_match_from_scratch(self):
         # An empty column fits where the column to its left starts at or
-        # below the bottom of the column to its right.  Its stored offset
-        # places no cell, so it is drawn at random.
+        # below the bottom of the column to its right.  It places no cell
+        # and is stored at offset 0.
         rng = random.Random(19)
         skews = []
         while len(skews) < 300:
@@ -177,7 +175,7 @@ class TestRectify:
             p = rng.randint(0, len(cols))
             if 0 < p < len(cols) and cols[p - 1][0] < cols[p][0] + len(cols[p][1]):
                 continue
-            cols.insert(p, (rng.randint(0, 3), ()))
+            cols.insert(p, (0, ()))
             skews.append(SkewTableau(tuple(cols)))
         self.assert_matches_from_scratch(skews)
 
@@ -233,7 +231,7 @@ class TestLengthSwap:
     def test_undefined_swap_bad_index(self):
         # The first slide climbs column 2 to its top and takes no box of
         # column 1; in the second there is no outside corner below column 2.
-        for cols in [((2, (3, 5, 6)), (1, (5, 6))), ((0, (1,)), (3, ()))]:
+        for cols in [((2, (3, 5, 6)), (1, (5, 6))), ((2, (1,)), (0, ()))]:
             with pytest.raises(BadIndex):
                 length_swap(SkewTableau(cols), 1)
 
@@ -247,18 +245,17 @@ class TestLengthSwap:
 
     def test_swaps_preserve_rectification(self):
         for t in small_census(4, 3):
-            steps = []
-            right_key_oracle(t, collect=steps)
-            for st in steps:
-                assert is_frank(st.after)
-                assert rectify(st.after, n=t.n) == t
+            for i in range(1, t.k):
+                for u in swap_chain(t, i):
+                    assert is_frank(u)
+                    assert rectify(u, n=t.n) == t
 
 
 def reference_right_key_column(t, i):
     """Column i of the right key by the length-swap choreography written
-    with the public reverse_slide only, and the fields of each swap's
-    LengthSwapStep.  A pull-down is d reverse slides under each of the
-    columns it moves."""
+    with the public reverse_slide only, and for each swap the fields of
+    its LengthSwapStep followed by the skew tableaux before and after it.
+    A pull-down is d reverse slides under each of the columns it moves."""
     u = SkewTableau.from_tableau(t)
     steps = []
     for j in range(i, t.k):
@@ -294,12 +291,13 @@ class TestInPlaceOracle:
                 col = right_key_column_oracle(t, i, collect=steps)
                 records = [
                     (st.j, st.x, st.d, st.bottom_left_before, st.bottom_right_before,
-                     st.bottom_right_after, st.before, st.after)
+                     st.bottom_right_after)
                     for st in steps
                 ]
-                assert (col, records) == reference_right_key_column(t, i)
-                for prev, st in zip(steps, steps[1:]):
-                    assert st.before is prev.after
+                ref_col, ref_steps = reference_right_key_column(t, i)
+                assert (col, records) == (ref_col, [ref[:6] for ref in ref_steps])
+                chain = list(swap_chain(t, i))
+                assert chain == [ref[7] for ref in ref_steps]
 
     def test_touched_column_check_matches_validation(self):
         # Column 2 (index 1) is the touched one; each plant breaks one rule.
@@ -359,7 +357,7 @@ class TestRotationDuality:
     def test_rotate_example(self, example_t):
         r = rotate_180(example_t)
         assert r.lengths() == (2, 3, 4, 4, 6)
-        assert len(r.cells()) == example_t.num_boxes
+        assert len(r.cells()) == sum(example_t.shape)
         assert sorted(r.cells().values()) == sorted(
             example_t.n + 1 - e for c in example_t.columns for e in c
         )

@@ -1,0 +1,86 @@
+"""Every keyscan name that the benchmark and the docs rely on resolves.
+
+The traced benchmark patches functions and methods by name, and the
+README and benchmark scripts import by name; a deletion that breaks one
+of them fails here rather than in a later benchmark run.
+"""
+
+import ast
+import importlib
+import importlib.util
+import re
+from pathlib import Path
+
+import keyscan
+from keyscan import scanning
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("keyscan_bench_spans", ROOT / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def keyscan_names(source):
+    """(module, name) for every ``from keyscan[.x] import name`` in
+    ``source``, except the guarded ones (inside a ``try`` that catches
+    ImportError, like the optional compiled kernel), and for every
+    ``name.attr`` read off a keyscan module imported that way."""
+    tree = ast.parse(source)
+    guarded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Try) and any(
+            isinstance(h.type, ast.Name) and h.type.id == "ImportError" for h in node.handlers
+        ):
+            guarded.update(id(sub) for stmt in node.body for sub in ast.walk(stmt))
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and id(node) not in guarded:
+            if node.module == "keyscan" or (node.module or "").startswith("keyscan."):
+                for alias in node.names:
+                    yield node.module, alias.name
+                    if node.module == "keyscan":
+                        modules[alias.asname or alias.name] = f"keyscan.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                yield modules[node.value.id], node.attr
+
+
+def resolves(module, name):
+    """True iff ``from module import name`` would succeed."""
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def test_traced_spans_resolve():
+    spans = load_spans()
+    for modname, attr, name in spans.FUNCTIONS:
+        home = scanning._kernel if modname == "kernel" else importlib.import_module(f"keyscan.{modname}")
+        assert callable(getattr(home, attr, None)), name
+    for modname, clsname, meth, name in spans.METHODS:
+        cls = getattr(importlib.import_module(f"keyscan.{modname}"), clsname)
+        assert meth in cls.__dict__, name
+
+
+def test_public_names_resolve():
+    for name in keyscan.__all__:
+        assert hasattr(keyscan, name), name
+
+
+def test_imported_names_resolve():
+    sources = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    sources += [path.read_text() for path in sorted((ROOT / "benchmarks").glob("*.py"))]
+    sources += re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    names = {pair for source in sources for pair in keyscan_names(source)}
+    assert ("keyscan.jdt", "right_key_oracle") in names
+    for module, name in sorted(names):
+        assert resolves(module, name), (module, name)

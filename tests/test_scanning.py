@@ -11,7 +11,6 @@ from keyscan.scanning import (
     ewis,
     kernel_name,
     left_key,
-    left_scan_sequence,
     scan_column,
     scan_trace,
     scanning_tableau,
@@ -205,13 +204,10 @@ class TestKernels:
 
 class TestLeftKey:
     def test_first_pass_on_example(self, example_t):
-        picks = left_scan_sequence(example_t)
-        assert picks[0] == example_t.columns[-1][-1]
+        cols = example_t.columns
+        picks = scanning._left_pass(cols, [len(c) for c in cols])
+        assert picks[0] == cols[-1][-1]
         assert all(a >= b for a, b in zip(picks, picks[1:]))
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptySequence):
-            left_scan_sequence(Tableau((), 2))
 
     def test_is_key_and_below(self):
         for t in small_census():

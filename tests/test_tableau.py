@@ -59,6 +59,12 @@ class TestValidation:
             SkewTableau(((0, (1, True)),))
         assert not is_shape((True,))
 
+    def test_empty_column_stored_at_offset_0(self):
+        # An empty column places no cell, so one offset stands for all.
+        with pytest.raises(RaggedShape):
+            SkewTableau(((0, (1,)), (3, ())))
+        assert SkewTableau(((0, (1,)), (0, ()))).cells() == {(0, 0): 1}
+
     def test_empty_tableau_is_legal(self):
         t = Tableau((), 3)
         assert t.shape == ()
@@ -107,34 +113,6 @@ class TestWeight:
     def test_full_column(self):
         t = Tableau((tuple(range(1, 4)),), 3)
         assert t.weight() == (1, 1, 1)
-
-
-class TestComplement:
-    def test_self_complementary_column(self):
-        t = Tableau(((1, 2),), 2)
-        assert t.complement() == t
-
-    def test_gap_column(self):
-        t = Tableau(((1, 3),), 3)
-        assert t.complement() == t
-
-    def test_two_column_example(self):
-        t = Tableau.from_rows([[1, 1], [2]], n=2)
-        assert t.complement() == Tableau.from_rows([[1, 2], [2]], n=2)
-
-    def test_involution_where_defined(self):
-        from keyscan.tableau import TableauError
-
-        defined = 0
-        for t in all_tableaux(5, 4):
-            try:
-                c = t.complement()
-            except TableauError:
-                continue
-            defined += 1
-            assert c.complement() == t
-            assert c.shape == t.shape
-        assert defined > 0
 
 
 class TestTextFormat:
