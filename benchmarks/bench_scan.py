@@ -1,8 +1,9 @@
 """Benchmark the compiled scanning kernel against the pure-Python one.
 
-Generates random semistandard tableaux of a given size and times
-full scanning-tableau computations (all start columns) on both kernels,
-verifying along the way that they agree.
+Generates random semistandard tableaux of a given size and times, on
+both kernels, the full right key (every start column of the scanning
+tableau) and the full left key (every end column), checking along the
+way that the kernels agree; a disagreement exits with an error.
 
 Usage: python3 benchmarks/bench_scan.py [--cols K] [--height H]
        [--tableaux N] [--repeats R] [--seed S]
@@ -37,12 +38,17 @@ def random_tableau_columns(k, height, rng):
     return cols
 
 
-def time_kernel(kernel, inputs, repeats):
+# (kernel entry point, what it computes when given every column index)
+ENTRY_POINTS = (("scan_columns", "right key"), ("left_columns", "left key"))
+
+
+def time_kernel(kernel, entry, inputs, repeats):
+    fn = getattr(kernel, entry)
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
         for cols in inputs:
-            kernel.scan_columns(cols, range(len(cols)))
+            fn(cols, range(len(cols)))
         times.append(time.perf_counter() - start)
     return min(times), statistics.median(times)
 
@@ -65,24 +71,26 @@ def main():
     print(f"{args.tableaux} tableaux, {args.cols} columns x <= {args.height} rows "
           f"({boxes} boxes total), {args.repeats} repeats")
 
-    pure_best, pure_med = time_kernel(_scan_py, inputs, args.repeats)
-    print(f"pure python : best {pure_best * 1000:8.2f} ms   "
-          f"median {pure_med * 1000:8.2f} ms")
+    for entry, label in ENTRY_POINTS:
+        print(f"{label} ({entry}):")
+        pure_best, pure_med = time_kernel(_scan_py, entry, inputs, args.repeats)
+        print(f"  pure python : best {pure_best * 1000:8.2f} ms   "
+              f"median {pure_med * 1000:8.2f} ms")
 
-    if _scankernel is None:
-        print("compiled kernel not built; skipping comparison")
-        return
+        if _scankernel is None:
+            print("  compiled kernel not built; skipping comparison")
+            continue
 
-    for cols in inputs:
-        starts = range(len(cols))
-        if _scankernel.scan_columns(cols, starts) != _scan_py.scan_columns(cols, starts):
-            raise SystemExit("kernels disagree")
+        for cols in inputs:
+            every = range(len(cols))
+            if getattr(_scankernel, entry)(cols, every) != getattr(_scan_py, entry)(cols, every):
+                raise SystemExit(f"kernels disagree on the {label}")
 
-    ext_best, ext_med = time_kernel(_scankernel, inputs, args.repeats)
-    print(f"compiled    : best {ext_best * 1000:8.2f} ms   "
-          f"median {ext_med * 1000:8.2f} ms")
-    print(f"speedup     : {pure_best / ext_best:.1f}x (best), "
-          f"{pure_med / ext_med:.1f}x (median)")
+        ext_best, ext_med = time_kernel(_scankernel, entry, inputs, args.repeats)
+        print(f"  compiled    : best {ext_best * 1000:8.2f} ms   "
+              f"median {ext_med * 1000:8.2f} ms")
+        print(f"  speedup     : {pure_best / ext_best:.1f}x (best), "
+              f"{pure_med / ext_med:.1f}x (median)")
 
 
 if __name__ == "__main__":

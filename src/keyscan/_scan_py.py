@@ -1,49 +1,113 @@
 """Pure-Python scanning kernel.
 
-Shares its contract with the compiled kernel in ``keyscan._scankernel``:
-``scan_columns(cols, starts)`` takes a sequence of columns (each a
-strictly increasing sequence of ints) and an iterable of 0-based start
-indices, and returns the list of scanning-tableau columns, as tuples, at
-those start indices in the order given.  A start outside
-``0..len(cols) - 1`` raises ``IndexError``.
+Shares its contract with the compiled kernel in ``keyscan._scankernel``.
+Both take ``cols``, a sequence of columns (each a strictly increasing
+sequence of ints), and offer two entry points:
+
+* ``scan_columns(cols, starts)`` returns the scanning-tableau columns
+  (the right key's columns), as tuples, at the 0-based start indices in
+  ``starts``, in the order given;
+* ``left_columns(cols, ends)`` returns the left key's columns, as tuples,
+  at the 0-based indices in ``ends``, in the order given.  Column ``end``
+  reads only ``cols[:end + 1]``.
+
+An index outside ``0..len(cols) - 1`` raises ``IndexError``.  A left
+walk that finds no entry to pick, which a semistandard input never
+causes, raises ``InternalInvariantError``.
+
+Both scans run column-major: every pass is carried along at once, and
+each column is visited once for all of them.  This is an exact
+reordering of the paper's pass-by-pass scans, because pass p's choice
+in a column depends only on its own previous member and on what passes
+before p left in that column.
 """
 
 from __future__ import annotations
 
 
+class InternalInvariantError(AssertionError):
+    """Raised when a structural guarantee of the algorithms fails.
+
+    Indicates a bug (or an invalid tableau smuggled past validation),
+    never a user error.
+    """
+
+
 def scan_start_column(cols, start, trace=None):
     """Column ``start`` (0-based) of the scanning tableau of ``cols``.
 
-    Repeatedly takes the earliest weakly increasing subsequence of the
-    bottom entries of the still-alive boxes in columns ``start..``,
-    recording its last member and removing its boxes, until the start
-    column is exhausted.  Recorded members are returned top to bottom.
-    With ``trace`` a list, appends each pass's members in scan order.
+    The paper repeatedly takes the earliest weakly increasing
+    subsequence of the bottom entries of the still-alive boxes in columns
+    ``start..``, recording its last member and removing its boxes, until
+    the start column is exhausted.  Pass p (0-based) starts with entry
+    ``-1 - p`` of the start column.  Here ``last[p]`` is pass p's last
+    member so far, and each later column offers its bottom alive box to
+    passes 0, 1, ... in turn: pass p takes it iff it is at least
+    ``last[p]``.  Recorded members are returned top to bottom.  With
+    ``trace`` a list, appends each pass's members in scan order.
     """
     if not 0 <= start < len(cols):
         raise IndexError(f"start column {start} outside 0..{len(cols) - 1}")
-    alive = [len(cols[i]) for i in range(start, len(cols))]
-    out = []
-    while alive[0] > 0:
-        if trace is not None:
-            before = alive[:]
-        last = -1
-        for idx, a in enumerate(alive):
-            if a == 0:
-                continue
-            v = cols[start + idx][a - 1]
-            if v >= last:
-                last = v
-                alive[idx] = a - 1
-        if trace is not None:
-            trace.append(tuple(
-                cols[start + idx][a] for idx, (a, b) in enumerate(zip(alive, before))
-                if a != b
-            ))
-        out.append(last)
-    out.reverse()
-    return tuple(out)
+    last = list(reversed(cols[start]))
+    members = None if trace is None else [[v] for v in last]
+    for col in cols[start + 1:]:
+        if not col:
+            continue
+        a = len(col) - 1
+        v = col[a]
+        for p, l in enumerate(last):
+            if v >= l:
+                last[p] = v
+                if members is not None:
+                    members[p].append(v)
+                if a == 0:
+                    break
+                a -= 1
+                v = col[a]
+    if members is not None:
+        trace.extend([tuple(m) for m in members])
+    last.reverse()
+    return tuple(last)
 
 
 def scan_columns(cols, starts):
     return [scan_start_column(cols, s) for s in starts]
+
+
+def left_columns(cols, ends, trace=None):
+    """Columns ``ends`` (0-based) of the left key of ``cols``.
+
+    Pass p (0-based) of column ``end`` starts with entry ``-1 - p`` of
+    that column and walks right to left, picking in each column the
+    largest entry not above its previous pick among the boxes above
+    those picked by earlier passes; its pick in the first column is an
+    entry of the key.  The picks of successive passes strictly decrease,
+    and so do their indices in each column, so one bottom-to-top walk of
+    each column serves every pass.  With ``trace`` a list, appends each
+    pass's picks, right to left, for every end in turn.
+    """
+    out = []
+    for end in ends:
+        if not 0 <= end < len(cols):
+            raise IndexError(f"end column {end} outside 0..{len(cols) - 1}")
+        picks = list(reversed(cols[end]))
+        members = None if trace is None else [[v] for v in picks]
+        for j in range(end - 1, -1, -1):
+            col = cols[j]
+            i = len(col) - 1
+            for p, a in enumerate(picks):
+                while i >= 0 and col[i] > a:
+                    i -= 1
+                if i < 0:
+                    raise InternalInvariantError(
+                        "left scan found no entry <= previous pick; input not semistandard?"
+                    )
+                picks[p] = col[i]
+                if members is not None:
+                    members[p].append(col[i])
+                i -= 1
+        if members is not None:
+            trace.extend([tuple(m) for m in members])
+        picks.reverse()
+        out.append(tuple(picks))
+    return out

@@ -55,14 +55,19 @@ def _check_oracle(key, oracle_key):
     return 2
 
 
+def _explain(label, traces):
+    """Print each column's passes to stderr, one block per column."""
+    for column, passes in enumerate(traces, start=1):
+        print(f"{label} column {column}:", file=sys.stderr)
+        for values in passes:
+            print("  (" + ",".join(map(str, values)) + ")", file=sys.stderr)
+
+
 def _cmd_right_key(args):
     t = _read_tableau(args.file)
     s = scanning.scanning_tableau(t)
     if args.explain:
-        for start, passes in enumerate(scanning.scan_trace(t), start=1):
-            print(f"start column {start}:", file=sys.stderr)
-            for values in passes:
-                print("  (" + ",".join(map(str, values)) + ")", file=sys.stderr)
+        _explain("start", scanning.scan_trace(t))
     sys.stdout.write(format_tableau(s))
     return _check_oracle(s, jdt.right_key_oracle(t)) if args.oracle else 0
 
@@ -70,6 +75,8 @@ def _cmd_right_key(args):
 def _cmd_left_key(args):
     t = _read_tableau(args.file)
     lk = scanning.left_key(t)
+    if args.explain:
+        _explain("end", scanning.left_trace(t))
     sys.stdout.write(format_tableau(lk))
     return _check_oracle(lk, jdt.left_key_oracle(t)) if args.oracle else 0
 
@@ -142,6 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("left-key", help="left key by the scanning method")
     p.add_argument("file", nargs="?")
+    p.add_argument("--explain", action="store_true",
+                   help="print each pass's picks, right to left, to stderr")
     p.add_argument("--oracle", action="store_true")
     p.set_defaults(func=_cmd_left_key)
 

@@ -2,22 +2,27 @@
 
 The right key is obtained by iterated earliest-weakly-increasing-
 subsequence (EWIS) passes over the bottom entries of the columns; the
-left key by a right-to-left walk picking, in each column, the largest
+left key by right-to-left walks picking, in each column, the largest
 entry not exceeding the previous pick.
 
-Two interchangeable kernels compute columns of the scanning tableau: a
-compiled extension (``keyscan._scankernel``), used whenever it is
-importable, and a pure-Python fallback (``keyscan._scan_py``).  Both
-offer ``scan_columns(cols, starts)``; the pass-by-pass trace always runs
-the pure-Python loop.
+Two interchangeable kernels compute key columns: a compiled extension
+(``keyscan._scankernel``), used whenever it is importable, and a
+pure-Python fallback (``keyscan._scan_py``).  Both offer
+``scan_columns(cols, starts)`` for the right key and
+``left_columns(cols, ends)`` for the left key.  The pure kernel runs
+every pass at once, column by column, which gives the same answers as
+the paper's pass-by-pass order: a pass's choice in a column depends
+only on its own previous member and on what earlier passes left there.
+The traces behind ``--explain``, one entry per pass, always come from
+the pure-Python kernel.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import _scan_py
+from ._scan_py import InternalInvariantError
 from .tableau import Tableau
 
 try:
@@ -33,14 +38,6 @@ def kernel_name() -> str:
 
 class EmptySequence(ValueError):
     pass
-
-
-class InternalInvariantError(AssertionError):
-    """Raised when a structural guarantee of the algorithms fails.
-
-    Indicates a bug (or an invalid tableau smuggled past validation),
-    never a user error.
-    """
 
 
 @dataclass(frozen=True)
@@ -114,39 +111,22 @@ def scan_trace(t: Tableau) -> list[list[tuple[int, ...]]]:
     return traces
 
 
-def _left_pass(cols, limits):
-    """Single pass of the left-key scan; mutates ``limits`` with the
-    dotted-box exclusions.  Returns the picked entries right-to-left."""
-    c = len(limits) - 1
-    a = cols[c][limits[c] - 1]
-    limits[c] -= 1
-    picks = [a]
-    for j in range(c - 1, -1, -1):
-        idx = bisect_right(cols[j], a, 0, limits[j]) - 1
-        if idx < 0:
-            raise InternalInvariantError(
-                "left scan found no entry <= previous pick; input not semistandard?"
-            )
-        a = cols[j][idx]
-        limits[j] = idx
-        picks.append(a)
-    return tuple(picks)
-
-
 def left_key(t: Tableau) -> Tableau:
     """The left key of ``t`` by the direct scanning method.  Column c reads
     only columns ..c, so each run of equal lengths is computed at its
     first column, whose prefix is the shortest, and copied."""
-    out = []
-    for c in range(t.k):
-        if c and len(t.columns[c]) == len(t.columns[c - 1]):
-            out.append(out[-1])
-            continue
-        cols = t.columns[: c + 1]
-        limits = [len(col) for col in cols]
-        col_out = []
-        for _ in range(len(t.columns[c])):
-            picks = _left_pass(cols, limits)
-            col_out.append(picks[-1])
-        out.append(tuple(reversed(col_out)))
+    shape = t.shape
+    firsts = [c for c in range(t.k) if c == 0 or shape[c - 1] != shape[c]]
+    out: list = []
+    for nxt, col in zip(firsts[1:] + [t.k], _kernel.left_columns(t.columns, firsts)):
+        out.extend([col] * (nxt - len(out)))
     return Tableau(tuple(out), t.n)
+
+
+def left_trace(t: Tableau) -> list[list[tuple[int, ...]]]:
+    """All left-key passes: one list per key column, each pass's picks
+    right to left."""
+    traces: list = [[] for _ in range(t.k)]
+    for end, tr in enumerate(traces):
+        _scan_py.left_columns(t.columns, (end,), trace=tr)
+    return traces

@@ -13,7 +13,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from operator import le, lt
 
 
 class TableauError(ValueError):
@@ -80,27 +81,8 @@ class Tableau:
     def __post_init__(self):
         if self.n < 1:
             raise EntryOutOfBound(f"entry bound must be >= 1, got {self.n}")
-        # Hot-path tuples are built from lists: tuple(generator) resizes its
-        # guess, stranding blocks in other sizes' free lists, which grow for
-        # as long as no full garbage collection empties them.
-        lengths = tuple([len(c) for c in self.columns])
-        if any(l == 0 for l in lengths) or any(a < b for a, b in zip(lengths, lengths[1:])):
-            raise RaggedShape(f"column lengths {lengths} do not form a shape")
-        for i, col in enumerate(self.columns):
-            for r, e in enumerate(col):
-                if type(e) is not int or e < 1 or e > self.n:
-                    raise EntryOutOfBound(
-                        f"entry {e!r} at row {r + 1}, column {i + 1} is not an "
-                        f"integer in 1..{self.n}"
-                    )
-                if r > 0 and col[r - 1] >= e:
-                    raise NonDecreasingColumn(
-                        f"column {i + 1} not strictly increasing at row {r + 1}"
-                    )
-                if i > 0 and r < len(self.columns[i - 1]) and self.columns[i - 1][r] > e:
-                    raise DecreasingRow(
-                        f"row {r + 1} decreases between columns {i} and {i + 1}"
-                    )
+        if not _is_semistandard(self.columns, self.n):
+            _raise_first_violation(self.columns, self.n)
 
     # -- basic structure -------------------------------------------------
 
@@ -157,6 +139,47 @@ class Tableau:
 
     def __str__(self):
         return format_tableau(self)
+
+
+_INT = {int}
+
+
+def _is_semistandard(columns, n) -> bool:
+    """Whether ``Tableau.__post_init__`` accepts these columns: every
+    check of ``_raise_first_violation``, made column by column in C loops
+    (a strictly increasing column lies in 1..n iff its ends do)."""
+    if not set(map(type, chain.from_iterable(columns))) <= _INT:
+        return False
+    prev = None
+    for col in columns:
+        if not (col and col[0] >= 1 and col[-1] <= n and all(map(lt, col, col[1:]))):
+            return False
+        if prev is not None and (len(col) > len(prev) or not all(map(le, prev, col))):
+            return False
+        prev = col
+    return True
+
+
+def _raise_first_violation(columns, n):
+    """Raise the error naming the first violation, in reading order."""
+    lengths = tuple(len(c) for c in columns)
+    if any(l == 0 for l in lengths) or any(a < b for a, b in zip(lengths, lengths[1:])):
+        raise RaggedShape(f"column lengths {lengths} do not form a shape")
+    for i, col in enumerate(columns):
+        for r, e in enumerate(col):
+            if type(e) is not int or e < 1 or e > n:
+                raise EntryOutOfBound(
+                    f"entry {e!r} at row {r + 1}, column {i + 1} is not an "
+                    f"integer in 1..{n}"
+                )
+            if r > 0 and col[r - 1] >= e:
+                raise NonDecreasingColumn(
+                    f"column {i + 1} not strictly increasing at row {r + 1}"
+                )
+            if i > 0 and r < len(columns[i - 1]) and columns[i - 1][r] > e:
+                raise DecreasingRow(
+                    f"row {r + 1} decreases between columns {i} and {i + 1}"
+                )
 
 
 def entrywise_leq(a: Tableau, b: Tableau) -> bool:
@@ -322,28 +345,8 @@ class SkewTableau:
     columns: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        for i, (off, col) in enumerate(self.columns):
-            if off < 0:
-                raise RaggedShape(f"negative offset in column {i + 1}")
-            if off and not col:
-                raise RaggedShape(f"empty column {i + 1} stored at offset {off}, not 0")
-            for r, e in enumerate(col):
-                if type(e) is not int or e < 1:
-                    raise EntryOutOfBound(f"bad entry {e} in column {i + 1}")
-                if r > 0 and col[r - 1] >= e:
-                    raise NonDecreasingColumn(
-                        f"column {i + 1} not strictly increasing"
-                    )
-        for i in range(1, len(self.columns)):
-            lo, lcol = self.columns[i - 1]
-            ro, rcol = self.columns[i]
-            top = max(lo, ro)
-            bot = min(lo + len(lcol), ro + len(rcol))
-            for r in range(top, bot):
-                if lcol[r - lo] > rcol[r - ro]:
-                    raise DecreasingRow(
-                        f"row {r + 1} decreases between columns {i} and {i + 1}"
-                    )
+        if not _is_skew_semistandard(self.columns):
+            _raise_first_skew_violation(self.columns)
 
     @classmethod
     def from_tableau(cls, t: Tableau) -> "SkewTableau":
@@ -362,3 +365,54 @@ class SkewTableau:
             for r, e in enumerate(col):
                 out[(c, off + r)] = e
         return out
+
+
+def _is_skew_semistandard(columns) -> bool:
+    """Whether ``SkewTableau.__post_init__`` accepts these columns: every
+    check of ``_raise_first_skew_violation``, made in C loops.  Two
+    neighbouring columns are compared from the first row both occupy;
+    ``map`` stops where the first of them ends."""
+    if not set(map(type, chain.from_iterable([col for _, col in columns]))) <= _INT:
+        return False
+    prev_off, prev = 0, ()
+    for off, col in columns:
+        if col:
+            if off < 0 or col[0] < 1 or not all(map(lt, col, col[1:])):
+                return False
+            if prev:
+                if off > prev_off:
+                    if not all(map(le, prev[off - prev_off:], col)):
+                        return False
+                elif not all(map(le, prev, col[prev_off - off:])):
+                    return False
+        elif off:
+            return False
+        prev_off, prev = off, col
+    return True
+
+
+def _raise_first_skew_violation(columns):
+    """Raise the error naming the first violation: column checks first,
+    then rows, each left to right."""
+    for i, (off, col) in enumerate(columns):
+        if off < 0:
+            raise RaggedShape(f"negative offset in column {i + 1}")
+        if off and not col:
+            raise RaggedShape(f"empty column {i + 1} stored at offset {off}, not 0")
+        for r, e in enumerate(col):
+            if type(e) is not int or e < 1:
+                raise EntryOutOfBound(f"bad entry {e} in column {i + 1}")
+            if r > 0 and col[r - 1] >= e:
+                raise NonDecreasingColumn(
+                    f"column {i + 1} not strictly increasing"
+                )
+    for i in range(1, len(columns)):
+        lo, lcol = columns[i - 1]
+        ro, rcol = columns[i]
+        top = max(lo, ro)
+        bot = min(lo + len(lcol), ro + len(rcol))
+        for r in range(top, bot):
+            if lcol[r - lo] > rcol[r - ro]:
+                raise DecreasingRow(
+                    f"row {r + 1} decreases between columns {i} and {i + 1}"
+                )

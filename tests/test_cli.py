@@ -117,6 +117,16 @@ class TestLeftKey:
         assert code == 0
         assert out == "n=3\n1 2\n2\n"
 
+    def test_explain_goes_to_stderr(self, capsys, monkeypatch):
+        _, want, _ = run(capsys, monkeypatch, ["left-key"], stdin=EXAMPLE_T_TEXT)
+        code, out, err = run(
+            capsys, monkeypatch, ["left-key", "--explain"], stdin=EXAMPLE_T_TEXT
+        )
+        assert code == 0
+        assert out == want
+        assert err.startswith("end column 1:\n  (8)\n")
+        assert "end column 5:\n  (9,8,6,5,5)\n  (6,4,3,3,2)\n" in err
+
     def test_oracle_agrees(self, capsys, monkeypatch):
         code, _, err = run(
             capsys, monkeypatch, ["left-key", "--oracle"], stdin=EXAMPLE_T_TEXT

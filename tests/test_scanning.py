@@ -8,9 +8,11 @@ from keyscan import _scan_py, scanning
 from keyscan.jdt import left_key_oracle, right_key_oracle
 from keyscan.scanning import (
     EmptySequence,
+    InternalInvariantError,
     ewis,
     kernel_name,
     left_key,
+    left_trace,
     scan_column,
     scan_trace,
     scanning_tableau,
@@ -19,28 +21,12 @@ from keyscan.tableau import Tableau, entrywise_leq, enumerate_tableaux, parse_ta
 from keyscan.verify import shapes_up_to
 
 from conftest import EXAMPLE_KEY_TEXT
+from helpers import passwise_left_column, passwise_scan_column
 
 
-def naive_scan_column(columns):
-    """Literal pass-by-pass simulation, independent of both kernels."""
-    cols = [list(c) for c in columns]
-    out = []
-    while cols[0]:
-        last = None
-        members = []
-        for i, c in enumerate(cols):
-            if c and (last is None or c[-1] >= last):
-                members.append(i)
-                last = c[-1]
-        for i in members:
-            cols[i].pop()
-        out.append(last)
-    return tuple(reversed(out))
-
-
-def naive_scanning_tableau(t):
+def passwise_scanning_tableau(t):
     return Tableau(
-        tuple(naive_scan_column(t.columns[s:]) for s in range(t.k)), t.n
+        tuple(passwise_scan_column(t.columns, s) for s in range(t.k)), t.n
     )
 
 
@@ -141,7 +127,7 @@ class TestScanningTableau:
 
     def test_matches_naive_reference(self):
         for t in small_census():
-            assert scanning_tableau(t) == naive_scanning_tableau(t)
+            assert scanning_tableau(t) == passwise_scanning_tableau(t)
 
     def test_is_key_and_dominates(self):
         for t in small_census():
@@ -182,6 +168,12 @@ class TestKernels:
                 assert compiled_kernel.scan_columns(cols, starts) == (
                     _scan_py.scan_columns(cols, starts)
                 )
+        # Not tableaux, but inside the kernels' contract.
+        for cols in ([(1,), (), (2,)], [(), (1,)]):
+            every = range(len(cols))
+            assert compiled_kernel.scan_columns(cols, every) == (
+                _scan_py.scan_columns(cols, every)
+            ) == [passwise_scan_column(cols, s) for s in every]
 
     @settings(max_examples=150, deadline=None)
     @given(tall_or_wide_columns(), st.data())
@@ -191,23 +183,69 @@ class TestKernels:
             assert compiled_kernel.scan_columns(cols, s) == _scan_py.scan_columns(cols, s)
         t = Tableau(cols, max(col[-1] for col in cols))
         with mock.patch.object(scanning, "_kernel", compiled_kernel):
-            assert scanning_tableau(t) == naive_scanning_tableau(t)
+            assert scanning_tableau(t) == passwise_scanning_tableau(t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tall_or_wide_columns(), st.data())
+    def test_compiled_left_matches_pure_fuzzed(self, compiled_kernel, cols, data):
+        ends = data.draw(st.lists(st.integers(0, len(cols) - 1), max_size=6))
+        for e in (ends, range(len(cols))):
+            assert compiled_kernel.left_columns(cols, e) == _scan_py.left_columns(cols, e)
+        t = Tableau(cols, max(col[-1] for col in cols))
+        with mock.patch.object(scanning, "_kernel", compiled_kernel):
+            assert left_key(t).columns == tuple(
+                passwise_left_column(cols, e) for e in range(len(cols))
+            )
+        # The first entry read, so that no entry too wide for C hands the
+        # call to the pure kernel first.
+        bad = [(float(cols[0][0]),) + cols[0][1:], *cols[1:]]
+        with pytest.raises(TypeError):
+            compiled_kernel.left_columns(bad, range(len(cols)))
+
+    def test_both_kernels_match_passwise_on_census(self, compiled_kernel):
+        for t in small_census(7, 5):
+            cols, every = t.columns, range(t.k)
+            right = [passwise_scan_column(cols, s) for s in every]
+            left = [passwise_left_column(cols, e) for e in every]
+            for kernel in (compiled_kernel, _scan_py):
+                assert kernel.scan_columns(cols, every) == right
+                assert kernel.left_columns(cols, every) == left
+            for s in every:
+                want, got = [], []
+                passwise_scan_column(cols, s, want)
+                _scan_py.scan_start_column(cols, s, got)
+                assert got == want
+                want, got = [], []
+                passwise_left_column(cols, s, want)
+                _scan_py.left_columns(cols, (s,), got)
+                assert got == want
 
     def test_bad_input_raises(self, compiled_kernel):
         for kernel in (compiled_kernel, _scan_py):
-            for cols, starts in (([(1,)], (1,)), ([(1,)], (-1,)), ([], (0,))):
+            for cols, indices in (([(1,)], (1,)), ([(1,)], (-1,)), ([], (0,)),
+                                  ([(1, 2), (2,)], (0, 2))):
                 with pytest.raises(IndexError):
-                    kernel.scan_columns(cols, starts)
+                    kernel.scan_columns(cols, indices)
+                with pytest.raises(IndexError):
+                    kernel.left_columns(cols, indices)
         with pytest.raises(TypeError):
             compiled_kernel.scan_columns([(1, 2.5)], (0,))
 
+    def test_left_walk_past_the_top_raises(self, compiled_kernel):
+        for kernel in (compiled_kernel, _scan_py):
+            for cols in ([(2,), (1,)], [(2, 3), (1, 2)], [(2**70,), (1,)]):
+                with pytest.raises(InternalInvariantError):
+                    kernel.left_columns(cols, (len(cols) - 1,))
+
 
 class TestLeftKey:
-    def test_first_pass_on_example(self, example_t):
-        cols = example_t.columns
-        picks = scanning._left_pass(cols, [len(c) for c in cols])
-        assert picks[0] == cols[-1][-1]
-        assert all(a >= b for a, b in zip(picks, picks[1:]))
+    def test_trace_on_example(self, example_t):
+        traces = left_trace(example_t)
+        assert traces[1] == [(7, 7), (5, 5), (3, 2), (1, 1)]
+        assert traces[4] == [(9, 8, 6, 5, 5), (6, 4, 3, 3, 2)]
+        assert [len(tr) for tr in traces] == list(example_t.shape)
+        for col, passes in zip(left_key(example_t).columns, traces):
+            assert col == tuple(reversed([picks[-1] for picks in passes]))
 
     def test_is_key_and_below(self):
         for t in small_census():

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from keyscan.tableau import (
     DecreasingRow,
+    TableauError,
     EntryOutOfBound,
     NonDecreasingColumn,
     RaggedShape,
@@ -25,6 +26,30 @@ from keyscan.verify import shapes_up_to
 def all_tableaux(max_boxes, n):
     for shape in shapes_up_to(max_boxes, n):
         yield from enumerate_tableaux(shape, n)
+
+
+def semistandard(cols, n):
+    """The definition, read literally."""
+    return (
+        all(len(c) >= 1 for c in cols)
+        and all(len(a) >= len(b) for a, b in zip(cols, cols[1:]))
+        and all(type(e) is int and 1 <= e <= n for c in cols for e in c)
+        and all(a < b for c in cols for a, b in zip(c, c[1:]))
+        and all(x <= y for a, b in zip(cols, cols[1:]) for x, y in zip(a, b))
+    )
+
+
+def skew_semistandard(cols):
+    cells = {(c, off + r): e for c, (off, col) in enumerate(cols) for r, e in enumerate(col)}
+    return (
+        all(off >= 0 and (col or not off) for off, col in cols)
+        and all(type(e) is int and e >= 1 for e in cells.values())
+        and all(e < cells.get((c, r + 1), e + 1) for (c, r), e in cells.items())
+        and all(e <= cells.get((c + 1, r), e) for (c, r), e in cells.items())
+    )
+
+
+entries = st.one_of(st.integers(0, 5), st.sampled_from([True, 2.0]))
 
 
 class TestValidation:
@@ -58,6 +83,47 @@ class TestValidation:
         with pytest.raises(EntryOutOfBound):
             SkewTableau(((0, (1, True)),))
         assert not is_shape((True,))
+
+    @settings(max_examples=200)
+    @given(st.lists(st.lists(entries, max_size=4), max_size=4), st.integers(1, 5))
+    def test_accepts_exactly_semistandard(self, cols, n):
+        cols = tuple(map(tuple, cols))
+        if semistandard(cols, n):
+            Tableau(cols, n)
+        else:
+            with pytest.raises(TableauError):
+                Tableau(cols, n)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(st.integers(0, 2), st.lists(entries, max_size=3)), max_size=4))
+    def test_skew_accepts_exactly_semistandard(self, cols):
+        cols = tuple((off, tuple(col)) for off, col in cols)
+        if skew_semistandard(cols):
+            SkewTableau(cols)
+        else:
+            with pytest.raises(TableauError):
+                SkewTableau(cols)
+
+    def test_first_violation_named(self):
+        for cols, n, error, message in (
+            (((1, 2), (1, 2, 3)), 3, RaggedShape, "column lengths (2, 3) do not form a shape"),
+            (((1, 1), (0,)), 3, NonDecreasingColumn, "column 1 not strictly increasing at row 2"),
+            (((2, 3), (1, True)), 3, DecreasingRow, "row 1 decreases between columns 1 and 2"),
+            (((1, 2), (1, True)), 3, EntryOutOfBound,
+             "entry True at row 2, column 2 is not an integer in 1..3"),
+        ):
+            with pytest.raises(error) as info:
+                Tableau(cols, n)
+            assert str(info.value) == message
+        for cols, error, message in (
+            (((0, (2,)), (0, (1, 1))), NonDecreasingColumn, "column 2 not strictly increasing"),
+            (((0, (2, 3)), (1, (1, 4))), DecreasingRow, "row 2 decreases between columns 1 and 2"),
+            (((0, (1,)), (-1, ())), RaggedShape, "negative offset in column 2"),
+            (((0, (0,)), (0, (2.0,))), EntryOutOfBound, "bad entry 0 in column 1"),
+        ):
+            with pytest.raises(error) as info:
+                SkewTableau(cols)
+            assert str(info.value) == message
 
     def test_empty_column_stored_at_offset_0(self):
         # An empty column places no cell, so one offset stands for all.
