@@ -15,11 +15,12 @@ An index outside ``0..len(cols) - 1`` raises ``IndexError``.  A left
 walk that finds no entry to pick, which a semistandard input never
 causes, raises ``InternalInvariantError``.
 
-Both scans run column-major: every pass is carried along at once, and
-each column is visited once for all of them.  This is an exact
-reordering of the paper's pass-by-pass scans, because pass p's choice
-in a column depends only on its own previous member and on what passes
-before p left in that column.
+Both kernels run both scans column-major: every pass is carried along
+at once, and each column is visited once for all of them.  This is an
+exact reordering of the paper's pass-by-pass scans, because pass p's
+choice in a column depends only on its own previous member and on what
+passes before p left in that column.  Only this kernel takes an
+optional third argument, ``trace``, that records every pass.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ class InternalInvariantError(AssertionError):
     """
 
 
-def scan_start_column(cols, start, trace=None):
-    """Column ``start`` (0-based) of the scanning tableau of ``cols``.
+def scan_columns(cols, starts, trace=None):
+    """Columns ``starts`` (0-based) of the scanning tableau of ``cols``.
 
     The paper repeatedly takes the earliest weakly increasing
     subsequence of the bottom entries of the still-alive boxes in columns
@@ -44,34 +45,34 @@ def scan_start_column(cols, start, trace=None):
     member so far, and each later column offers its bottom alive box to
     passes 0, 1, ... in turn: pass p takes it iff it is at least
     ``last[p]``.  Recorded members are returned top to bottom.  With
-    ``trace`` a list, appends each pass's members in scan order.
+    ``trace`` a list, appends each pass's members in scan order, for
+    every start in turn.
     """
-    if not 0 <= start < len(cols):
-        raise IndexError(f"start column {start} outside 0..{len(cols) - 1}")
-    last = list(reversed(cols[start]))
-    members = None if trace is None else [[v] for v in last]
-    for col in cols[start + 1:]:
-        if not col:
-            continue
-        a = len(col) - 1
-        v = col[a]
-        for p, l in enumerate(last):
-            if v >= l:
-                last[p] = v
-                if members is not None:
-                    members[p].append(v)
-                if a == 0:
-                    break
-                a -= 1
-                v = col[a]
-    if members is not None:
-        trace.extend([tuple(m) for m in members])
-    last.reverse()
-    return tuple(last)
-
-
-def scan_columns(cols, starts):
-    return [scan_start_column(cols, s) for s in starts]
+    out = []
+    for start in starts:
+        if not 0 <= start < len(cols):
+            raise IndexError(f"start column {start} outside 0..{len(cols) - 1}")
+        last = list(reversed(cols[start]))
+        members = None if trace is None else [[v] for v in last]
+        for col in cols[start + 1:]:
+            if not col:
+                continue
+            a = len(col) - 1
+            v = col[a]
+            for p, l in enumerate(last):
+                if v >= l:
+                    last[p] = v
+                    if members is not None:
+                        members[p].append(v)
+                    if a == 0:
+                        break
+                    a -= 1
+                    v = col[a]
+        if members is not None:
+            trace.extend([tuple(m) for m in members])
+        last.reverse()
+        out.append(tuple(last))
+    return out
 
 
 def left_columns(cols, ends, trace=None):

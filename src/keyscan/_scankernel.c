@@ -11,12 +11,11 @@
  * input causes), is handed to keyscan._scan_py, so any Python int is
  * answered correctly and a bad input raises the pure kernel's error.
  *
- * scan_start runs the EWIS passes one after another, as the paper states
- * them, while the pure kernel runs them column by column; so the
- * compiled-versus-pure test of the right key compares two formulations.
- * left_end walks column by column like the pure kernel: the picks of
- * successive passes strictly decrease, so one bottom-to-top walk of each
- * column serves every pass.
+ * Both scans run column-major, like the pure kernel: every pass is
+ * carried along at once, and each column is visited once for all of
+ * them.  scan_start offers a column's bottom alive box to the passes in
+ * turn; in left_end the picks of successive passes strictly decrease, so
+ * one bottom-to-top walk of each column serves every pass.
  *
  * Selected by keyscan.scanning whenever it is importable; setup.py builds
  * it with a plain C compiler.
@@ -24,7 +23,6 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#include <limits.h>
 
 /* The arguments of one call, with every entry read into data. */
 typedef struct {
@@ -34,7 +32,6 @@ typedef struct {
     Py_ssize_t k;         /* number of columns */
     Py_ssize_t *base;     /* column j holds length[j] entries at data + base[j] */
     Py_ssize_t *length;
-    Py_ssize_t *alive;    /* scratch, k slots */
     long long *data;
     long long *buf;       /* scratch, as many slots as the tallest column */
 } Columns;
@@ -54,7 +51,6 @@ columns_free(Columns *c)
     PyMem_Free(c->fast);
     PyMem_Free(c->base);
     PyMem_Free(c->length);
-    PyMem_Free(c->alive);
     PyMem_Free(c->data);
     PyMem_Free(c->buf);
     Py_XDECREF(c->indices);
@@ -79,8 +75,7 @@ columns_read(Columns *c, PyObject *cols, PyObject *indices)
     c->fast = PyMem_New(PyObject *, c->k + 1);
     c->base = PyMem_New(Py_ssize_t, c->k + 1);
     c->length = PyMem_New(Py_ssize_t, c->k + 1);
-    c->alive = PyMem_New(Py_ssize_t, c->k + 1);
-    if (c->fast == NULL || c->base == NULL || c->length == NULL || c->alive == NULL) {
+    if (c->fast == NULL || c->base == NULL || c->length == NULL) {
         PyErr_NoMemory();
         return FAILED;
     }
@@ -144,36 +139,27 @@ reversed_tuple(const long long *buf, Py_ssize_t m)
     return out;
 }
 
-/* Column s of the scanning tableau, as a new tuple in *out. */
+/* Column s of the scanning tableau, as a new tuple in *out.  last[p] is
+ * pass p's last member so far; each later column offers its bottom alive
+ * box to passes 0, 1, ... in turn, and pass p takes it iff it is at least
+ * last[p]. */
 static int
 scan_start(const Columns *c, Py_ssize_t s, PyObject **out)
 {
-    const long long *data = c->data;
-    const Py_ssize_t *base = c->base;
-    Py_ssize_t *alive = c->alive;
-    Py_ssize_t j, m = 0, end = c->k;
+    long long *last = c->buf;
+    Py_ssize_t h = c->length[s], p, j;
 
-    for (j = s; j < c->k; j++)
-        alive[j] = c->length[j];
-    while (alive[s] > 0) {
-        /* LLONG_MIN, where the pure kernel starts from the start column's
-         * entry: the start column's box is always taken, so the loop ends
-         * on any input. */
-        long long last = LLONG_MIN;
-        while (alive[end - 1] == 0)
-            end--;
-        for (j = s; j < end; j++) {
-            Py_ssize_t a = alive[j];
-            if (a == 0)
-                continue;
-            if (data[base[j] + a - 1] >= last) {
-                last = data[base[j] + a - 1];
-                alive[j] = a - 1;
-            }
+    for (p = 0; p < h; p++)
+        last[p] = c->data[c->base[s] + h - 1 - p];
+    for (j = s + 1; j < c->k; j++) {
+        const long long *col = c->data + c->base[j];
+        Py_ssize_t a = c->length[j] - 1;
+        for (p = 0; p < h && a >= 0; p++) {
+            if (col[a] >= last[p])
+                last[p] = col[a--];
         }
-        c->buf[m++] = last;
     }
-    *out = reversed_tuple(c->buf, m);
+    *out = reversed_tuple(last, h);
     return *out == NULL ? FAILED : OK;
 }
 

@@ -199,17 +199,15 @@ def _skew_columns(u: SkewTableau):
     return tops, cols
 
 
-def rectify(u: SkewTableau, n=None, choose=None, collect=None) -> Tableau:
+def rectify(u: SkewTableau, n=None) -> Tableau:
     """Rectification: forward-slide inside corners until none remain.
 
     The filled cells of ``u`` must form a skew shape: from left to right
     the tops and the bottoms of the filled columns weakly decrease, and an
     empty column between two filled ones needs the top of the left one at
     or below the bottom of the right one.  Any other diagram raises
-    :class:`NotASkewShape`.  ``choose`` picks among the available corners,
-    given as a sorted list of (column, row) cells (default: the first);
-    the result is independent of the choice.  ``collect`` gathers
-    SlideTrace records.
+    :class:`NotASkewShape`.  Each slide starts from the leftmost corner;
+    the result is independent of the choice.
 
     The slides run in place on column lists, the corners are read off
     the column tops, and the straight result is validated once, as a
@@ -218,25 +216,16 @@ def rectify(u: SkewTableau, n=None, choose=None, collect=None) -> Tableau:
     tops, cols = _skew_columns(u)
     k = len(cols) - 1
     c = 0
-    path = None
     while True:
-        if choose is None:
-            while c < k and tops[c] <= tops[c + 1]:
-                c += 1
-            if c == k:
-                break
-        else:
-            corners = [(a, tops[a] - 1) for a in range(k) if tops[a] > tops[a + 1]]
-            if not corners:
-                break
-            c = choose(corners)[0]
+        while c < k and tops[c] <= tops[c + 1]:
+            c += 1
+        if c == k:
+            break
         first = c
         tops[c] -= 1
         col = cols[c]
         col.insert(0, None)  # the hole, at index h of column c
         h = 0
-        if collect is not None:
-            path = [(c, tops[c])]
         while True:
             right_col = cols[c + 1]
             i = h + tops[c] - tops[c + 1]  # the index of the right neighbor
@@ -247,14 +236,10 @@ def rectify(u: SkewTableau, n=None, choose=None, collect=None) -> Tableau:
                 col[h] = col[h + 1]
                 h += 1
                 i += 1
-                if path is not None:
-                    path.append((c, tops[c] + h))
             if not 0 <= i < m:
                 break
             col[h] = right_col[i]
             c, col, h = c + 1, right_col, i
-            if path is not None:
-                path.append((c, tops[c] + h))
         # The hole stops at the bottom of column c.  Only the tops of the
         # start column, of column c if it empties and of the empty columns
         # just left of column c change.
@@ -265,8 +250,6 @@ def rectify(u: SkewTableau, n=None, choose=None, collect=None) -> Tableau:
         while a and not cols[a - 1]:
             a -= 1
             tops[a] = tops[c] + len(col)
-        if path is not None:
-            collect.append(SlideTrace(path[0], tuple(path), "forward"))
         # The first corner had none left of it, and only the tops from
         # column min(a, first) on changed: resume the search next to it.
         a = a if a < first else first
@@ -403,7 +386,7 @@ class _WorkingTableau:
         return x, d, bottom_left, bottom_right, right[-1]
 
 
-def length_swap(u: SkewTableau, j: int, collect=None) -> SkewTableau:
+def length_swap(u: SkewTableau, j: int) -> SkewTableau:
     """The j-th length swap (j is 1-based): exchange the lengths of
     columns j and j+1 by pulling the columns left of j out of the way and
     running reverse slides under column j+1.
@@ -416,9 +399,7 @@ def length_swap(u: SkewTableau, j: int, collect=None) -> SkewTableau:
     :class:`BadIndex`.
     """
     w = _WorkingTableau(u.offsets(), [col for _off, col in u.columns])
-    fields = w.length_swap(j)
-    if collect is not None:
-        collect.append(LengthSwapStep(j, *fields))
+    w.length_swap(j)
     return SkewTableau(tuple([(off, tuple(col)) for off, col in zip(w.offs, w.cols)]))
 
 

@@ -9,12 +9,13 @@ Two interchangeable kernels compute key columns: a compiled extension
 (``keyscan._scankernel``), used whenever it is importable, and a
 pure-Python fallback (``keyscan._scan_py``).  Both offer
 ``scan_columns(cols, starts)`` for the right key and
-``left_columns(cols, ends)`` for the left key.  The pure kernel runs
-every pass at once, column by column, which gives the same answers as
-the paper's pass-by-pass order: a pass's choice in a column depends
-only on its own previous member and on what earlier passes left there.
-The traces behind ``--explain``, one entry per pass, always come from
-the pure-Python kernel.
+``left_columns(cols, ends)`` for the left key.  Both kernels run every
+pass at once, column by column, which gives the same answers as the
+paper's pass-by-pass order: a pass's choice in a column depends only on
+its own previous member and on what earlier passes left there.  The
+traces behind ``--explain``, one entry per pass, come from
+:func:`scan_trace` and :func:`left_trace`, which always run the
+pure-Python kernel.
 """
 
 from __future__ import annotations
@@ -70,22 +71,11 @@ def ewis(seq) -> EwisResult:
     return EwisResult(tuple(indices), tuple(values))
 
 
-def scan_column(t: Tableau, start: int, trace: list | None = None) -> tuple[int, ...]:
-    """Column ``start`` (1-based) of the scanning tableau of ``t``.
-
-    With ``trace`` a list, appends the values of each EWIS pass in
-    discovery order, so the whole computation can be replayed
-    pass by pass.
-    """
+def scan_column(t: Tableau, start: int) -> tuple[int, ...]:
+    """Column ``start`` (1-based) of the scanning tableau of ``t``."""
     if not 1 <= start <= t.k:
         raise IndexError(f"start column {start} outside 1..{t.k}")
-    if trace is None:
-        return _kernel.scan_columns(t.columns, (start - 1,))[0]
-    before = len(trace)
-    col = _scan_py.scan_start_column(t.columns, start - 1, trace)
-    if sum(map(len, trace[before:])) != sum(map(len, t.columns[start - 1:])):
-        raise InternalInvariantError("scanning left unmarked boxes")
-    return col
+    return _kernel.scan_columns(t.columns, (start - 1,))[0]
 
 
 def scanning_tableau(t: Tableau) -> Tableau:
@@ -104,10 +94,13 @@ def scanning_tableau(t: Tableau) -> Tableau:
 
 
 def scan_trace(t: Tableau) -> list[list[tuple[int, ...]]]:
-    """All EWIS passes: one list per start column, in discovery order."""
+    """All EWIS passes: one list per start column, in discovery order,
+    so the whole computation can be replayed pass by pass."""
     traces: list = [[] for _ in range(t.k)]
-    for s, tr in enumerate(traces, start=1):
-        scan_column(t, s, trace=tr)
+    for start, tr in enumerate(traces):
+        _scan_py.scan_columns(t.columns, (start,), tr)
+        if sum(map(len, tr)) != sum(map(len, t.columns[start:])):
+            raise InternalInvariantError("scanning left unmarked boxes")
     return traces
 
 
@@ -128,5 +121,5 @@ def left_trace(t: Tableau) -> list[list[tuple[int, ...]]]:
     right to left."""
     traces: list = [[] for _ in range(t.k)]
     for end, tr in enumerate(traces):
-        _scan_py.left_columns(t.columns, (end,), trace=tr)
+        _scan_py.left_columns(t.columns, (end,), tr)
     return traces

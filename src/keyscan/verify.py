@@ -8,6 +8,7 @@ oracles plus the structural key/order invariants.  Used by the CLI
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -37,8 +38,6 @@ def shapes_up_to(max_boxes: int, max_length: int | None = None):
 
 @dataclass
 class VerifyReport:
-    max_boxes: int
-    max_entry: int
     shapes: int = 0
     tableaux: int = 0
     keys: int = 0
@@ -144,7 +143,7 @@ def check_tableau(t: Tableau, check_swaps: bool = False) -> tuple[list[str], int
 
 def _sweep_shape(args):
     shape, max_entry, check_swaps = args
-    rep = VerifyReport(0, max_entry, shapes=1)
+    rep = VerifyReport(shapes=1)
     for t in enumerate_tableaux(shape, max_entry):
         rep.tableaux += 1
         if t.is_key():
@@ -159,17 +158,20 @@ def run_sweep(max_boxes: int, max_entry: int, jobs: int = 1,
               check_swaps: bool = False) -> VerifyReport:
     """Run the full census sweep; counterexample-free iff report.ok."""
     start = time.perf_counter()
-    report = VerifyReport(max_boxes, max_entry)
+    report = VerifyReport()
     work = [
         (shape, max_entry, check_swaps)
         for shape in shapes_up_to(max_boxes, max_entry)
     ]
-    if jobs > 1:
+    # The pool starts all its workers at the first submit, so more than
+    # one per shape or per core would only cost processes.
+    workers = min(jobs, len(work), os.cpu_count() or 1)
+    if workers > 1:
         # Imported here: the process pool costs every CLI start a third of
         # its import time, and only a parallel sweep uses it.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for rep in pool.map(_sweep_shape, work):
                 report.merge(rep)
     else:

@@ -35,7 +35,8 @@ KERNEL_SOURCE = Path(__file__).resolve().parent.parent / "src" / "keyscan" / "_s
 def compiled_kernel(tmp_path_factory):
     """The compiled scanning kernel, built from source into a temporary
     directory with the system C compiler and loaded without installing
-    it, so ``keyscan.scanning`` keeps whichever kernel it picked."""
+    it, so ``keyscan.scanning`` keeps whichever kernel it picked.  Any
+    compiler warning, such as a variable left unused, fails the build."""
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         pytest.skip("no C compiler found")
@@ -43,8 +44,8 @@ def compiled_kernel(tmp_path_factory):
         "_scankernel" + sysconfig.get_config_var("EXT_SUFFIX")
     )
     subprocess.run(
-        [cc, "-shared", "-fPIC", "-O2", "-I", sysconfig.get_paths()["include"],
-         str(KERNEL_SOURCE), "-o", str(out)],
+        [cc, "-shared", "-fPIC", "-O2", "-Wall", "-Werror",
+         "-I", sysconfig.get_paths()["include"], str(KERNEL_SOURCE), "-o", str(out)],
         check=True,
     )
     spec = importlib.util.spec_from_file_location("keyscan._scankernel", out)

@@ -6,7 +6,7 @@ from collections import Counter
 from keyscan import jdt
 from keyscan.demazure import SparsePolynomial
 from keyscan.scanning import InternalInvariantError
-from keyscan.tableau import SkewTableau
+from keyscan.tableau import SkewTableau, Tableau
 
 
 # The two scans read literally from the paper, one pass after another.
@@ -95,6 +95,20 @@ def strict_inside_corners(cells: dict):
     inner.update([(c, r) for r, cmax in row_end.items() for c in range(cmax)])
     inner.difference_update(cells)
     return sorted((c, r) for c, r in inner if (c + 1, r) not in inner and (c, r + 1) not in inner)
+
+
+def rectify_from_scratch(u, choose):
+    """Rectification by the public forward slide, finding every corner
+    again after each slide; ``choose`` picks the slide's start from the
+    sorted list of corners."""
+    while True:
+        corners = strict_inside_corners(u.cells())
+        if not corners:
+            # Slides keep emptied columns; a rectified tableau drops them.
+            cols = tuple(col for _off, col in u.columns if col)
+            assert all(off == 0 for off, col in u.columns if col)
+            return Tableau(cols, max(max(col) for col in cols))
+        u, _tr = jdt.forward_slide(u, choose(corners))
 
 
 def canonical_skew_diagram(lengths) -> tuple[int, ...]:

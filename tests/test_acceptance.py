@@ -27,7 +27,13 @@ from keyscan.tableau import (
 from keyscan.verify import shapes_up_to
 
 from conftest import EXAMPLE_KEY_TEXT, EXAMPLE_T_TEXT, random_skew
-from helpers import canonical_skew_diagram, skew_fillings, strict_inside_corners, swap_chain
+from helpers import (
+    canonical_skew_diagram,
+    rectify_from_scratch,
+    skew_fillings,
+    strict_inside_corners,
+    swap_chain,
+)
 
 CENSUS_MAX_BOXES = 8
 CENSUS_MAX_ENTRY = 5
@@ -76,8 +82,7 @@ def test_criterion_1_worked_example_golden(capsys):
     t = parse_tableau(EXAMPLE_T_TEXT)
     golden = parse_tableau(EXAMPLE_KEY_TEXT)
     key_ok = scanning.scanning_tableau(t) == golden
-    trace = []
-    scanning.scan_column(t, 1, trace=trace)
+    trace = scanning.scan_trace(t)[0]
     trace_ok = trace == [
         (8, 9, 9),
         (7, 7, 8),
@@ -167,9 +172,9 @@ def test_criterion_5_jdt_soundness(capsys, census, sweep):
         u = random_skew(rng)
         base = jdt.rectify(u)
         pick = random.Random(i)
-        if jdt.rectify(u, choose=pick.choice) != base:
+        if rectify_from_scratch(u, pick.choice) != base:
             failures.append(f"confluence (seeded) on {u}")
-        if jdt.rectify(u, choose=lambda cs: cs[-1]) != base:
+        if rectify_from_scratch(u, lambda cs: cs[-1]) != base:
             failures.append(f"confluence (last-corner) on {u}")
         confluence_runs += 1
 

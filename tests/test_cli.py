@@ -163,9 +163,11 @@ class TestVerify:
         assert out == "" and "error: --jobs" in err
 
     def test_parallel_sweep_matches_serial(self):
-        # A fresh interpreter, so that only the sweep can load the pool.
+        # A fresh interpreter, so that only the sweep can load the pool;
+        # two cores reported, so that the pool runs on a one-core host too.
         proc = run_python(
-            "import sys\n"
+            "import os, sys\n"
+            "os.cpu_count = lambda: 2\n"
             "from keyscan.verify import run_sweep\n"
             "def counts(r):\n"
             "    return r.shapes, r.tableaux, r.keys, r.swaps, r.counterexamples\n"
@@ -176,6 +178,47 @@ class TestVerify:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "(10, 70, 34, 188, [])\n"
+
+    def test_jobs_capped(self, capsys, monkeypatch):
+        # A stand-in pool that records its size and maps in this process,
+        # so that no worker process is ever started.
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        def counts(r):
+            return r.shapes, r.tableaux, r.keys, r.swaps, r.counterexamples
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        serial = counts(verify.run_sweep(4, 3))  # 10 shapes
+        for cores, want in ((64, [10]), (3, [3]), (1, []), (None, [])):
+            sizes.clear()
+            monkeypatch.setattr(verify.os, "cpu_count", lambda: cores)
+            assert counts(verify.run_sweep(4, 3, jobs=100000)) == serial
+            assert sizes == want
+        # One shape: the sweep runs serially whatever --jobs asks.
+        sizes.clear()
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
+        code, out, _ = run(
+            capsys,
+            monkeypatch,
+            ["verify", "--max-boxes", "1", "--max-entry", "1", "--jobs", "100000"],
+        )
+        assert code == 0 and "tableaux checked: 1\n" in out
+        assert sizes == []
 
     def test_check_swaps(self, capsys, monkeypatch):
         code, out, _ = run(

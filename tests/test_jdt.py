@@ -31,7 +31,13 @@ from keyscan.tableau import (
 from keyscan.verify import shapes_up_to
 
 from conftest import EXAMPLE_KEY_TEXT, random_skew
-from helpers import canonical_skew_diagram, skew_fillings, strict_inside_corners, swap_chain
+from helpers import (
+    canonical_skew_diagram,
+    rectify_from_scratch,
+    skew_fillings,
+    strict_inside_corners,
+    swap_chain,
+)
 
 
 def small_census(max_boxes=5, max_entry=4):
@@ -96,57 +102,19 @@ class TestRectify:
         rng = random.Random(13)
         for i in range(300):
             u = random_skew(rng)
-            first = rectify(u)
+            got = rectify(u)
             pick = random.Random(1000 + i)
-            assert rectify(u, choose=pick.choice) == first
-            assert rectify(u, choose=lambda cs: cs[-1]) == first
-
-    def test_collects_traces(self):
-        u = SkewTableau(((1, (2,)), (0, (1, 3))))
-        traces = []
-        rectify(u, collect=traces)
-        assert traces and all(tr.direction == "forward" for tr in traces)
+            assert rectify_from_scratch(u, pick.choice) == got
+            assert rectify_from_scratch(u, lambda cs: cs[-1]) == got
 
     @staticmethod
-    def rectify_from_scratch(u, choose):
-        """Rectification that finds every corner again after each slide."""
-        traces = []
-        while True:
-            corners = strict_inside_corners(u.cells())
-            if not corners:
-                # Slides keep emptied columns; a rectified tableau drops them.
-                cols = tuple(col for _off, col in u.columns if col)
-                assert all(off == 0 for off, col in u.columns if col)
-                return Tableau(cols, max(max(col) for col in cols)), traces
-            u, tr = forward_slide(u, choose(corners))
-            traces.append(tr)
-
-    @staticmethod
-    def recording(pick):
-        """A corner choice that picks with ``pick`` and keeps every corner
-        list it is offered."""
-        offered = []
-
-        def choose(corners):
-            offered.append(corners)
-            return pick(corners)
-
-        return choose, offered
-
-    def assert_matches_from_scratch(self, skews):
-        """Results, traces and offered corner lists agree with the first
-        and with the last corner chosen.  Where every list holds one
-        corner, the two choices make the same slides, so one run does."""
+    def assert_matches_from_scratch(skews):
+        """Results agree with the from-scratch reference under the first
+        and under the last corner chosen."""
         for u in skews:
+            got = rectify(u)
             for pick in (lambda cs: cs[0], lambda cs: cs[-1]):
-                choose, offered = self.recording(pick)
-                traces = []
-                got = rectify(u, choose=choose, collect=traces)
-                ref_choose, ref_offered = self.recording(pick)
-                ref, ref_traces = self.rectify_from_scratch(u, ref_choose)
-                assert (got, traces, offered) == (ref, ref_traces, ref_offered)
-                if all(len(cs) == 1 for cs in offered):
-                    break
+                assert rectify_from_scratch(u, pick) == got
 
     def test_incremental_corners_match_from_scratch(self):
         rng = random.Random(17)
@@ -207,11 +175,12 @@ class TestFrank:
 class TestLengthSwap:
     def test_example_first_swap(self, example_t):
         u = SkewTableau.from_tableau(example_t)
-        steps = []
-        v = length_swap(u, 1, collect=steps)
+        v = length_swap(u, 1)
         assert v.lengths() == (4, 6, 4, 3, 2)
         assert v.columns[1] == (0, (1, 3, 4, 5, 7, 8))
-        (st,) = steps
+        steps = []
+        right_key_column_oracle(example_t, 1, collect=steps)
+        st = steps[0]
         assert (st.j, st.x, st.d) == (1, 2, 0)
         assert st.bottom_right_after == 8
         assert "j=1" in st.format_line()

@@ -88,8 +88,8 @@ class TestEwis:
 
 class TestScanColumn:
     def test_first_column_passes(self, example_t):
-        trace = []
-        col = scan_column(example_t, 1, trace=trace)
+        trace = scan_trace(example_t)[0]
+        col = scan_column(example_t, 1)
         assert trace == [
             (8, 9, 9),
             (7, 7, 8),
@@ -101,8 +101,8 @@ class TestScanColumn:
         assert col == (1, 4, 6, 7, 8, 9)
 
     def test_third_column_passes(self, example_t):
-        trace = []
-        col = scan_column(example_t, 3, trace=trace)
+        trace = scan_trace(example_t)[2]
+        col = scan_column(example_t, 3)
         assert trace == [(9, 9), (6, 8), (5, 7), (3, 4, 6)]
         assert col == (6, 7, 8, 9)
 
@@ -113,8 +113,9 @@ class TestScanColumn:
             scan_column(example_t, 6)
 
     def test_traced_matches_kernel(self, example_t):
-        for s in range(1, example_t.k + 1):
-            assert scan_column(example_t, s, trace=[]) == scan_column(example_t, s)
+        # A pass's last member is an entry of the column, bottom up.
+        for s, passes in enumerate(scan_trace(example_t), start=1):
+            assert scan_column(example_t, s) == tuple(reversed([p[-1] for p in passes]))
 
 
 class TestScanningTableau:
@@ -169,7 +170,8 @@ class TestKernels:
                     _scan_py.scan_columns(cols, starts)
                 )
         # Not tableaux, but inside the kernels' contract.
-        for cols in ([(1,), (), (2,)], [(), (1,)]):
+        # In the last two, a later column is taller than the start column.
+        for cols in ([(1,), (), (2,)], [(), (1,)], [(1,), (1, 2, 3)], [(2,), (), (1, 3)]):
             every = range(len(cols))
             assert compiled_kernel.scan_columns(cols, every) == (
                 _scan_py.scan_columns(cols, every)
@@ -213,7 +215,7 @@ class TestKernels:
             for s in every:
                 want, got = [], []
                 passwise_scan_column(cols, s, want)
-                _scan_py.scan_start_column(cols, s, got)
+                _scan_py.scan_columns(cols, (s,), got)
                 assert got == want
                 want, got = [], []
                 passwise_left_column(cols, s, want)
