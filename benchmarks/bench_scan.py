@@ -2,11 +2,17 @@
 
 Generates random semistandard tableaux of a given size and times, on
 both kernels, the full right key (every start column of the scanning
-tableau) and the full left key (every end column), checking along the
-way that the kernels agree; a disagreement exits with an error.
+tableau) and the full left key (every end column), checking first that
+the kernels agree; a disagreement exits with an error.
+
+The kernels take turns: each repeat times both, in an order that
+alternates from repeat to repeat, so a slow spell of the host falls on
+both rather than on one.  Each kernel's line gives the median and
+quartiles of its repeats; the speedup line gives those of the
+pure/compiled ratio within each repeat.
 
 Usage: python3 benchmarks/bench_scan.py [--cols K] [--height H]
-       [--tableaux N] [--repeats R] [--seed S]
+       [--tableaux N] [--repeats R >= 2] [--seed S]
 """
 
 import argparse
@@ -42,15 +48,17 @@ def random_tableau_columns(k, height, rng):
 ENTRY_POINTS = (("scan_columns", "right key"), ("left_columns", "left key"))
 
 
-def time_kernel(kernel, entry, inputs, repeats):
-    fn = getattr(kernel, entry)
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for cols in inputs:
-            fn(cols, range(len(cols)))
-        times.append(time.perf_counter() - start)
-    return min(times), statistics.median(times)
+def time_once(fn, inputs):
+    start = time.perf_counter()
+    for cols in inputs:
+        fn(cols, range(len(cols)))
+    return time.perf_counter() - start
+
+
+def spread(values, scale=1.0):
+    """'median M (quartiles Q1-Q3)' of ``values`` times ``scale``."""
+    q1, median, q3 = (v * scale for v in statistics.quantiles(values, n=4))
+    return f"median {median:8.2f} (quartiles {q1:.2f}-{q3:.2f})"
 
 
 def main():
@@ -58,9 +66,11 @@ def main():
     ap.add_argument("--cols", type=int, default=60)
     ap.add_argument("--height", type=int, default=40)
     ap.add_argument("--tableaux", type=int, default=20)
-    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--repeats", type=int, default=11)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
+    if args.repeats < 2:
+        ap.error("--repeats must be at least 2 for quartiles")
 
     rng = random.Random(args.seed)
     inputs = [
@@ -69,28 +79,31 @@ def main():
     ]
     boxes = sum(len(c) for cols in inputs for c in cols)
     print(f"{args.tableaux} tableaux, {args.cols} columns x <= {args.height} rows "
-          f"({boxes} boxes total), {args.repeats} repeats")
+          f"({boxes} boxes total), {args.repeats} alternating repeats, times in ms")
+    kernels = {"pure": _scan_py}
+    if _scankernel is None:
+        print("compiled kernel not built; timing the pure kernel alone")
+    else:
+        kernels["compiled"] = _scankernel
 
     for entry, label in ENTRY_POINTS:
-        print(f"{label} ({entry}):")
-        pure_best, pure_med = time_kernel(_scan_py, entry, inputs, args.repeats)
-        print(f"  pure python : best {pure_best * 1000:8.2f} ms   "
-              f"median {pure_med * 1000:8.2f} ms")
-
-        if _scankernel is None:
-            print("  compiled kernel not built; skipping comparison")
-            continue
-
+        fns = {name: getattr(kernel, entry) for name, kernel in kernels.items()}
         for cols in inputs:
             every = range(len(cols))
-            if getattr(_scankernel, entry)(cols, every) != getattr(_scan_py, entry)(cols, every):
+            if len({tuple(fn(cols, every)) for fn in fns.values()}) > 1:
                 raise SystemExit(f"kernels disagree on the {label}")
-
-        ext_best, ext_med = time_kernel(_scankernel, entry, inputs, args.repeats)
-        print(f"  compiled    : best {ext_best * 1000:8.2f} ms   "
-              f"median {ext_med * 1000:8.2f} ms")
-        print(f"  speedup     : {pure_best / ext_best:.1f}x (best), "
-              f"{pure_med / ext_med:.1f}x (median)")
+        times = {name: [] for name in fns}
+        order = list(fns)
+        for _ in range(args.repeats):
+            for name in order:
+                times[name].append(time_once(fns[name], inputs))
+            order.reverse()
+        print(f"{label} ({entry}):")
+        for name, values in times.items():
+            print(f"  {name:9}: {spread(values, 1000)}")
+        if "compiled" in times:
+            ratios = [p / c for p, c in zip(times["pure"], times["compiled"])]
+            print(f"  speedup  : {spread(ratios)}x")
 
 
 if __name__ == "__main__":

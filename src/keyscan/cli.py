@@ -26,14 +26,18 @@ from .tableau import (
 
 
 def _read_tableau(path):
+    stdin = path in (None, "-")
     try:
-        if path in (None, "-"):
+        if stdin:
             text = sys.stdin.read()
         else:
-            with open(path) as f:
+            with open(path, encoding="utf-8") as f:
                 text = f.read()
     except OSError as exc:
         raise TableauError(str(exc))
+    except UnicodeDecodeError as exc:
+        source = "standard input" if stdin else path
+        raise TableauError(f"{source} is not UTF-8 text: {exc.reason} at byte {exc.start}")
     return parse_tableau(text)
 
 

@@ -3,8 +3,9 @@
 Three routes to the same polynomial:
 
 * build the tableaux of the shape right to left, scanning each column
-  suffix once and dropping every suffix whose right-key column already
-  exceeds the key of the composition w . mu;
+  suffix whose entries are large enough to exceed the key of the
+  composition w . mu, and dropping every suffix whose right-key column
+  does;
 * filter all semistandard tableaux of the shape by their jeu de taquin
   right key, the unpruned reference;
 * the isobaric divided-difference recursion along a reduced word of w.
@@ -82,11 +83,9 @@ class SparsePolynomial:
 def format_polynomial(p: SparsePolynomial) -> str:
     """One monomial per line: 'coefficient e_1 ... e_n', exponent vectors
     in descending lexicographic order."""
-    lines = [
-        " ".join([str(p.terms[mono])] + [str(e) for e in mono])
-        for mono in sorted(p.terms, reverse=True)
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    line = "%d" + " %d" * p.nvars + "\n"
+    terms = p.terms
+    return "".join([line % ((terms[mono],) + mono) for mono in sorted(terms, reverse=True)])
 
 
 def pi_operator(p: SparsePolynomial, i: int) -> SparsePolynomial:
@@ -146,6 +145,8 @@ def _check_permutation(w, n):
 
 
 def _check_partition(mu, n):
+    if n < 1:
+        raise BadDimensions(f"entry bound must be >= 1, got {n}")
     mu = tuple(p for p in mu if p)
     if any(a < b for a, b in zip(mu, mu[1:])) or any(p < 0 for p in mu):
         raise BadDimensions(f"{mu} is not a partition")
@@ -195,16 +196,23 @@ def demazure_character(mu, w, n: int, engine: str = "scan") -> SparsePolynomial:
     right key is entrywise <= the key of the composition w . mu.
 
     ``engine`` picks how right keys are computed: 'scan' (the direct
-    scanning method, pruned column by column) or 'oracle' (jeu de taquin
-    length swaps on every tableau of the shape).
+    scanning method, pruned column by column, scanning a suffix only
+    when its entries are large enough to exceed the key) or 'oracle'
+    (jeu de taquin length swaps on every tableau of the shape).  The
+    empty partition has one tableau, the empty one, so its character is
+    the constant 1 for every w.
     """
     if engine not in ("scan", "oracle"):
         raise ValueError(f"unknown engine {engine!r}")
-    key = key_of_composition(compose(w, mu, n))
+    parts = compose(w, mu, n)
+    if not any(parts):
+        return SparsePolynomial.monomial(parts)
+    key = key_of_composition(parts)
     weights: Counter = Counter()
     if engine == "scan":
         k = len(key.columns)
-        _extend(k - 1, [()] * k, key.columns, [0] * n, weights)
+        _extend(k - 1, [()] * k, key.columns, [0] * n, weights, 0,
+                scanning._kernel.scan_columns, {})
     else:
         weights.update(
             t.weight()
@@ -217,10 +225,11 @@ def demazure_character(mu, w, n: int, engine: str = "scan") -> SparsePolynomial:
 # Module level rather than a closure: a closure that calls itself is a
 # reference cycle, which would keep ``weights`` alive until the next
 # garbage collection and raise the peak memory of repeated calls.
-def _extend(i, cols, bound, weight, weights):
+def _extend(i, cols, bound, weight, weights, top, scan_columns, candidates):
     """Count in ``weights`` the weight of every tableau T of the shape of
     the key ``bound`` with K+(T) <= bound whose columns after i are
-    ``cols[i + 1:]``; ``weight`` holds the weight of those columns.
+    ``cols[i + 1:]``; ``weight`` holds the weight of those columns and
+    ``top`` their largest entry (0 when there are none).
 
     Column i of the scanning tableau reads only columns i.. of T, so
     K+(T)[i:] = K+(T[i:]) and the condition splits into one test per
@@ -228,19 +237,35 @@ def _extend(i, cols, bound, weight, weights):
     increase) and by key column i (T <= K+(T) <= key), and a suffix whose
     scanned first column exceeds key column i is dropped with every
     filling that extends it.
+
+    That scan is made only when it can drop the suffix.  The scanned
+    column is a strictly increasing column of l = len(b) entries of the
+    suffix, so with M the suffix's largest entry its row r (from 0 at the
+    top) is at most M - (l - 1 - r); key column b is strictly increasing,
+    so b[r] >= b[0] + r.  When b[0] + l - 1 >= M, every row is within b
+    and the suffix is kept unscanned.  For the longest permutation of
+    1..n every key column is n - l + 1..n, so b[0] + l - 1 = n and its
+    character makes no scan at all.
+
+    The candidates for column i depend only on ``upper``, so they are
+    built once per ``upper`` and kept in ``candidates`` for the call.
     """
-    scan_columns = scanning._kernel.scan_columns
     b = bound[i]
     right = cols[i + 1] if i + 1 < len(cols) else ()
     upper = tuple(map(min, right, b)) + b[len(right):]
-    for col in _columns_of_length(len(b), len(weight), (), upper):
+    column_list = candidates.get(upper)
+    if column_list is None:
+        column_list = candidates[upper] = _columns_of_length(len(b), len(weight), (), upper)
+    unscanned = b[0] + len(b) - 1
+    for col in column_list:
         cols[i] = col
-        if any(map(gt, scan_columns(cols[i:], (0,))[0], b)):
+        m = max(top, col[-1])
+        if m > unscanned and any(map(gt, scan_columns(cols[i:], (0,))[0], b)):
             continue
         for e in col:
             weight[e - 1] += 1
         if i:
-            _extend(i - 1, cols, bound, weight, weights)
+            _extend(i - 1, cols, bound, weight, weights, m, scan_columns, candidates)
         else:
             weights[tuple(weight)] += 1
         for e in col:

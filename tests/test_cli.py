@@ -86,6 +86,22 @@ class TestRightKey:
         )
         assert code == 1
 
+    def test_non_utf8_file_exit_1(self, capsys, monkeypatch, tmp_path):
+        f = tmp_path / "t.txt"
+        f.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, monkeypatch, ["right-key", str(f)])
+        assert (code, out) == (1, "")
+        assert err == f"error: {f} is not UTF-8 text: invalid start byte at byte 0\n"
+
+    def test_non_utf8_stdin_exit_1(self, capsys, monkeypatch):
+        import io
+
+        stdin = io.TextIOWrapper(io.BytesIO(b"n=2\n1 \xff\n"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, monkeypatch, ["left-key"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: standard input is not UTF-8 text:")
+
     def test_large_entries_compiled_kernel(self, capsys, monkeypatch, compiled_kernel):
         for text in ("n=99999999999\n1 3000000000\n2\n",
                      f"n={2**70}\n1 {2**64 + 1}\n{2**63}\n"):
@@ -281,6 +297,15 @@ class TestDemazure:
         assert code == 0
         assert "ENGINES AGREE" in err
         assert out == "1 2 0\n1 1 1\n1 0 2\n"
+
+    def test_empty_partition_all_engines(self, capsys, monkeypatch):
+        code, out, err = run(
+            capsys,
+            monkeypatch,
+            ["demazure", "--mu", "0", "--w", "2,1", "--n", "2", "--all-engines"],
+        )
+        assert (code, out) == (0, "1 0 0\n")
+        assert "ENGINES AGREE" in err
 
     def test_bad_permutation_exit_1(self, capsys, monkeypatch):
         code, _, err = run(

@@ -1,7 +1,11 @@
 import itertools
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from keyscan import _scan_py, scanning
 from keyscan.demazure import (
     BadDimensions,
     EmptyComposition,
@@ -172,6 +176,9 @@ class TestCompositions:
             compose((1, 2), (1, 2), 2)
         with pytest.raises(BadDimensions):
             compose((1, 2, 3), (1,), 2)
+        for n in (0, -1):
+            with pytest.raises(BadDimensions):
+                compose((), (), n)
 
 
 class TestReducedWord:
@@ -228,7 +235,13 @@ class TestDemazureCharacter:
         for mu in shapes_up_to(6)
         if len(mu) <= n
         for w in itertools.permutations(range(1, n + 1))
-    ] + [((2, 1, 0), (2, 1), 3), ((1, 0, 0, 0), (3, 1, 2), 4), ((2, 2, 0), (), 4)]
+    ] + [((2, 1, 0), (2, 1), 3), ((1, 0, 0, 0), (3, 1, 2), 4), ((2, 2, 0), (), 4)] + [
+        # the empty partition: the constant 1, whatever w
+        (mu, w, n)
+        for mu in ((), (0,), (0, 0))
+        for n in range(1, 4)
+        for w in itertools.permutations(range(1, n + 1))
+    ]
 
     def test_engines_agree(self):
         for mu, w, n in self.ENGINE_CASES:
@@ -259,3 +272,66 @@ class TestDemazureCharacter:
     def test_bad_engine(self):
         with pytest.raises(ValueError):
             demazure_character((1,), (1, 2), 2, engine="nope")
+
+    def test_empty_partition_still_checks_w_and_n(self):
+        for engine in ("scan", "oracle"):
+            with pytest.raises(BadDimensions):
+                demazure_character((), (1, 1), 2, engine)
+            with pytest.raises(BadDimensions):
+                demazure_character((), (), 0, engine)
+        with pytest.raises(BadDimensions):
+            demazure_by_operators((), (), 0)
+
+
+@st.composite
+def tableau_columns(draw):
+    """Columns of a semistandard tableau, built as the benchmark's
+    ``random_tableau_columns`` builds them: weakly decreasing lengths in
+    height//2..height, each entry its lower bound plus 0, 1 or 2."""
+    k = draw(st.integers(1, 8))
+    height = draw(st.integers(1, 8))
+    lengths = sorted(
+        draw(st.lists(st.integers(max(1, height // 2), height), min_size=k, max_size=k)),
+        reverse=True,
+    )
+    cols = []
+    for c, length in enumerate(lengths):
+        col = []
+        for r in range(length):
+            lo = max(col[-1] + 1 if col else 1, cols[c - 1][r] if c else 1)
+            col.append(lo + draw(st.integers(0, 2)))
+        cols.append(tuple(col))
+    return cols
+
+
+class TestScanSkip:
+    """The scan engine scans a suffix only when its largest entry M
+    exceeds b[0] + l - 1 for key column b of length l."""
+
+    @settings(max_examples=300)
+    @given(tableau_columns())
+    def test_scanned_rows_bounded_by_largest_entry(self, cols):
+        l, top = len(cols[0]), max(col[-1] for col in cols)
+        scanned = _scan_py.scan_columns(cols, (0,))[0]
+        assert all(v <= top - (l - 1 - r) for r, v in enumerate(scanned))
+
+    def test_longest_element_makes_no_scan(self, monkeypatch):
+        def refuse(cols, starts):
+            raise AssertionError("scan made for the longest element")
+
+        monkeypatch.setattr(scanning, "_kernel", SimpleNamespace(scan_columns=refuse))
+        for mu, n in (((2, 1), 3), ((3, 2, 1), 4), ((2, 2, 1, 1, 1), 6)):
+            w0 = tuple(range(n, 0, -1))
+            assert demazure_character(mu, w0, n) == schur_polynomial(mu, n)
+
+    def test_near_identity_still_scans(self, monkeypatch):
+        calls = []
+
+        def counted(cols, starts):
+            calls.append(len(cols))
+            return _scan_py.scan_columns(cols, starts)
+
+        monkeypatch.setattr(scanning, "_kernel", SimpleNamespace(scan_columns=counted))
+        mu, w, n = (3, 2, 1), (1, 2, 4, 3, 5), 5
+        assert demazure_character(mu, w, n) == demazure_by_operators(mu, w, n)
+        assert calls
