@@ -42,11 +42,12 @@ def scan_columns(cols, starts, trace=None):
     ``start..``, recording its last member and removing its boxes, until
     the start column is exhausted.  Pass p (0-based) starts with entry
     ``-1 - p`` of the start column.  Here ``last[p]`` is pass p's last
-    member so far, and each later column offers its bottom alive box to
-    passes 0, 1, ... in turn: pass p takes it iff it is at least
-    ``last[p]``.  Recorded members are returned top to bottom.  With
-    ``trace`` a list, appends each pass's members in scan order, for
-    every start in turn.
+    member so far.  Each later column is read bottom-up, and one iterator
+    over the passes carries each entry on to the first pass it extends:
+    pass p takes it iff it is at least ``last[p]``.  The column ends when
+    its entries or the passes run out.  Recorded members are returned
+    top to bottom.  With ``trace`` a list, appends each pass's members
+    in scan order, for every start in turn.
     """
     out = []
     for start in starts:
@@ -55,19 +56,16 @@ def scan_columns(cols, starts, trace=None):
         last = list(reversed(cols[start]))
         members = None if trace is None else [[v] for v in last]
         for col in cols[start + 1:]:
-            if not col:
-                continue
-            a = len(col) - 1
-            v = col[a]
-            for p, l in enumerate(last):
-                if v >= l:
-                    last[p] = v
-                    if members is not None:
-                        members[p].append(v)
-                    if a == 0:
+            passes = enumerate(last)
+            for v in reversed(col):
+                for p, l in passes:
+                    if v >= l:
+                        last[p] = v
+                        if members is not None:
+                            members[p].append(v)
                         break
-                    a -= 1
-                    v = col[a]
+                else:
+                    break
         if members is not None:
             trace.extend([tuple(m) for m in members])
         last.reverse()
@@ -83,8 +81,8 @@ def left_columns(cols, ends, trace=None):
     largest entry not above its previous pick among the boxes above
     those picked by earlier passes; its pick in the first column is an
     entry of the key.  The picks of successive passes strictly decrease,
-    and so do their indices in each column, so one bottom-to-top walk of
-    each column serves every pass.  With ``trace`` a list, appends each
+    and so do their indices in each column, so one bottom-to-top iterator
+    over each column serves every pass.  With ``trace`` a list, appends each
     pass's picks, right to left, for every end in turn.
     """
     out = []
@@ -93,20 +91,19 @@ def left_columns(cols, ends, trace=None):
             raise IndexError(f"end column {end} outside 0..{len(cols) - 1}")
         picks = list(reversed(cols[end]))
         members = None if trace is None else [[v] for v in picks]
-        for j in range(end - 1, -1, -1):
-            col = cols[j]
-            i = len(col) - 1
+        for col in reversed(cols[:end]):
+            entries = reversed(col)
             for p, a in enumerate(picks):
-                while i >= 0 and col[i] > a:
-                    i -= 1
-                if i < 0:
+                for v in entries:
+                    if v <= a:
+                        break
+                else:
                     raise InternalInvariantError(
                         "left scan found no entry <= previous pick; input not semistandard?"
                     )
-                picks[p] = col[i]
+                picks[p] = v
                 if members is not None:
-                    members[p].append(col[i])
-                i -= 1
+                    members[p].append(v)
         if members is not None:
             trace.extend([tuple(m) for m in members])
         picks.reverse()

@@ -278,8 +278,11 @@ def enumerate_tableaux(shape, n: int):
 
     Order is lexicographic by column reading word (each column read top to
     bottom, columns left to right), which keeps golden files stable.
+    An entry bound below 1 raises :class:`EntryOutOfBound`.
     """
     shape = tuple(shape)
+    if n < 1:
+        raise EntryOutOfBound(f"entry bound must be >= 1, got {n}")
     if shape and not is_shape(shape):
         raise RaggedShape(f"{shape} is not a shape")
     if not shape:

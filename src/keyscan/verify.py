@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import jdt, scanning
-from .tableau import SkewTableau, Tableau, entrywise_leq, enumerate_tableaux
+from .tableau import SkewTableau, Tableau, TableauError, entrywise_leq, enumerate_tableaux
 
 
 # A module-level generator: a closure that calls itself is a reference
@@ -156,7 +156,11 @@ def _sweep_shape(args):
 
 def run_sweep(max_boxes: int, max_entry: int, jobs: int = 1,
               check_swaps: bool = False) -> VerifyReport:
-    """Run the full census sweep; counterexample-free iff report.ok."""
+    """Run the full census sweep; counterexample-free iff report.ok.
+    Both bounds must be at least 1."""
+    for name, bound in (("max_boxes", max_boxes), ("max_entry", max_entry)):
+        if bound < 1:
+            raise TableauError(f"{name} must be >= 1, got {bound}")
     start = time.perf_counter()
     report = VerifyReport()
     work = [

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from keyscan import _scan_py
 from keyscan.tableau import SkewTableau, Tableau, parse_tableau
 
 EXAMPLE_T_TEXT = """\
@@ -52,6 +53,17 @@ def compiled_kernel(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def kernels(request):
+    """The pure kernel, then the compiled one when it can be built: a
+    check that holds for both still runs on the pure kernel without a C
+    compiler."""
+    try:
+        return (_scan_py, request.getfixturevalue("compiled_kernel"))
+    except pytest.skip.Exception:
+        return (_scan_py,)
 
 
 @pytest.fixture

@@ -178,6 +178,16 @@ class TestVerify:
         assert code == 1
         assert out == "" and "error: --jobs" in err
 
+    def test_bad_bounds_exit_1(self, capsys, monkeypatch):
+        for boxes, entry, name, value in (("2", "0", "max_entry", "0"),
+                                          ("0", "2", "max_boxes", "0"),
+                                          ("-1", "2", "max_boxes", "-1")):
+            code, out, err = run(
+                capsys, monkeypatch, ["verify", "--max-boxes", boxes, "--max-entry", entry]
+            )
+            assert code == 1
+            assert out == "" and err == f"error: {name} must be >= 1, got {value}\n"
+
     def test_parallel_sweep_matches_serial(self):
         # A fresh interpreter, so that only the sweep can load the pool;
         # two cores reported, so that the pool runs on a one-core host too.
@@ -351,6 +361,12 @@ class TestEnumerate:
         assert code == 0
         assert "3 tableaux" in err
         assert out == "1 1\n\n1 2\n\n2 2\n\n"
+
+    def test_bad_entry_bound_exit_1(self, capsys, monkeypatch):
+        for n in ("0", "-2"):
+            code, out, err = run(capsys, monkeypatch, ["enumerate", "--shape", "1", "--n", n])
+            assert code == 1
+            assert out == "" and err == f"error: entry bound must be >= 1, got {n}\n"
 
 
 class TestStartup:

@@ -2,13 +2,17 @@
 
 The traced benchmark patches functions and methods by name, and the
 README and benchmark scripts import by name; a deletion that breaks one
-of them fails here rather than in a later benchmark run.
+of them fails here rather than in a later benchmark run.  The layer
+benchmark ``benchmarks/bench_scan.py`` is also run once on tiny inputs.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import keyscan
@@ -84,3 +88,16 @@ def test_imported_names_resolve():
     assert ("keyscan.jdt", "right_key_oracle") in names
     for module, name in sorted(names):
         assert resolves(module, name), (module, name)
+
+
+def test_bench_scan_runs():
+    env = dict(os.environ)
+    src = str(Path(keyscan.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/bench_scan.py", "--cols", "5", "--height", "4",
+         "--tableaux", "2", "--repeats", "2"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "right key (scan_columns):" in proc.stdout

@@ -1,3 +1,4 @@
+import random
 from unittest import mock
 
 import pytest
@@ -49,6 +50,20 @@ def tall_or_wide_columns(draw):
         cols.append(col)
     base = draw(st.sampled_from([0, 2**31 - 40, 2**63 - 40, 2**64 + 7]))
     return tuple(tuple(base + e for e in col) for col in cols)
+
+
+def seeded_columns(lengths, rng):
+    """Columns of a random semistandard tableau with column lengths
+    ``lengths``, each entry 0 to 2 above the larger of its upper and left
+    neighbours, so that many entries tie along a row."""
+    cols = []
+    for c, length in enumerate(lengths):
+        col = []
+        for r in range(length):
+            lo = max(col[-1] + 1 if col else 1, cols[c - 1][r] if c else 1)
+            col.append(lo + rng.randint(0, 2))
+        cols.append(tuple(col))
+    return cols
 
 
 def small_census(max_boxes=6, max_entry=4):
@@ -176,6 +191,8 @@ class TestKernels:
             assert compiled_kernel.scan_columns(cols, every) == (
                 _scan_py.scan_columns(cols, every)
             ) == [passwise_scan_column(cols, s) for s in every]
+        with pytest.raises(TypeError):
+            compiled_kernel.scan_columns([(1, 2.5)], (0,))
 
     @settings(max_examples=150, deadline=None)
     @given(tall_or_wide_columns(), st.data())
@@ -204,12 +221,12 @@ class TestKernels:
         with pytest.raises(TypeError):
             compiled_kernel.left_columns(bad, range(len(cols)))
 
-    def test_both_kernels_match_passwise_on_census(self, compiled_kernel):
+    def test_both_kernels_match_passwise_on_census(self, kernels):
         for t in small_census(7, 5):
             cols, every = t.columns, range(t.k)
             right = [passwise_scan_column(cols, s) for s in every]
             left = [passwise_left_column(cols, e) for e in every]
-            for kernel in (compiled_kernel, _scan_py):
+            for kernel in kernels:
                 assert kernel.scan_columns(cols, every) == right
                 assert kernel.left_columns(cols, every) == left
             for s in every:
@@ -222,19 +239,48 @@ class TestKernels:
                 _scan_py.left_columns(cols, (s,), got)
                 assert got == want
 
-    def test_bad_input_raises(self, compiled_kernel):
-        for kernel in (compiled_kernel, _scan_py):
+    def test_large_tableaux_match_passwise(self, kernels):
+        """Many columns and many rows, where runs of passes decline an
+        entry and left walks are long: 40 columns of repeated lengths up
+        to 30, and 24 columns of distinct lengths."""
+        rng = random.Random(2011)
+        shapes = [sorted((rng.choice((30, 27, 21, 14, 6)) for _ in range(40)), reverse=True)
+                  for _ in range(2)]
+        shapes += [sorted(rng.sample(range(1, 31), 24), reverse=True) for _ in range(2)]
+        cases = [(cols, range(len(cols))) for cols in (seeded_columns(l, rng) for l in shapes)]
+        # An empty column, inside the kernels' contract: right scans pass
+        # over it, and left walks that reach it run past its top.
+        cols = cases[-1][0][:10] + [()] + cases[-1][0][10:]
+        cases.append((cols, range(11)))
+        with pytest.raises(InternalInvariantError):
+            passwise_left_column(cols, 11)
+        for kernel in kernels:
+            with pytest.raises(InternalInvariantError):
+                kernel.left_columns(cols, (11,))
+        for cols, ends in cases:
+            every = range(len(cols))
+            want_right, want_left = [], []
+            right = [passwise_scan_column(cols, s, want_right) for s in every]
+            left = [passwise_left_column(cols, e, want_left) for e in ends]
+            for kernel in kernels:
+                assert kernel.scan_columns(cols, every) == right
+                assert kernel.left_columns(cols, ends) == left
+            got_right, got_left = [], []
+            _scan_py.scan_columns(cols, every, got_right)
+            _scan_py.left_columns(cols, ends, got_left)
+            assert (got_right, got_left) == (want_right, want_left)
+
+    def test_bad_input_raises(self, kernels):
+        for kernel in kernels:
             for cols, indices in (([(1,)], (1,)), ([(1,)], (-1,)), ([], (0,)),
                                   ([(1, 2), (2,)], (0, 2))):
                 with pytest.raises(IndexError):
                     kernel.scan_columns(cols, indices)
                 with pytest.raises(IndexError):
                     kernel.left_columns(cols, indices)
-        with pytest.raises(TypeError):
-            compiled_kernel.scan_columns([(1, 2.5)], (0,))
 
-    def test_left_walk_past_the_top_raises(self, compiled_kernel):
-        for kernel in (compiled_kernel, _scan_py):
+    def test_left_walk_past_the_top_raises(self, kernels):
+        for kernel in kernels:
             for cols in ([(2,), (1,)], [(2, 3), (1, 2)], [(2**70,), (1,)]):
                 with pytest.raises(InternalInvariantError):
                     kernel.left_columns(cols, (len(cols) - 1,))
