@@ -5,9 +5,9 @@ Tableaux are read from a file argument or standard input in the text
 format of :mod:`keyscan.tableau`; results go to standard output, traces
 to standard error.
 
-Exit codes: 1 for bad input, 2 for an oracle or engine disagreement or
-any other internal error (an implementation bug), 3 for a verification
-counterexample.
+Exit codes: 1 for bad input or a malformed command line, 2 for an oracle
+or engine disagreement or any other internal error (an implementation
+bug), 3 for a verification counterexample.
 """
 
 from __future__ import annotations
@@ -189,7 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except TableauError as exc:

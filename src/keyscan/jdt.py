@@ -16,7 +16,8 @@ The oracle validates at its boundary: public functions take and return
 validated tableaux.  Inside, rectification and the right-key
 choreography run in place on column offsets and one entry list per
 column, sharing no code with the public slides; the choreography
-re-checks legality on the columns each pull-down or reverse slide changed.
+re-checks legality on the columns each pull-down or reverse slide changed,
+with the same checker as :class:`SkewTableau`.
 Its swap records carry scalars only: the skew tableau after each swap
 comes from :func:`length_swap`, chained from
 ``SkewTableau.from_tableau(t)``.
@@ -26,13 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tableau import (
-    DecreasingRow,
-    NonDecreasingColumn,
-    SkewTableau,
-    Tableau,
-    TableauError,
-)
+from .tableau import SkewTableau, Tableau, TableauError, _check_skew
 
 
 class NotAnInsideCorner(TableauError):
@@ -277,7 +272,8 @@ class _WorkingTableau:
     """A legal skew tableau held for in-place length swaps: a list of
     column offsets and one entry list per column.
 
-    Each step re-checks the columns and adjacent column pairs it changed;
+    Each step runs :func:`~keyscan.tableau._check_skew`, the checker of
+    :class:`SkewTableau`, on the columns and adjacent pairs it changed;
     the rest of the tableau is untouched, so this checks the same property
     as validating the whole skew tableau again."""
 
@@ -286,29 +282,6 @@ class _WorkingTableau:
     def __init__(self, offs, cols):
         self.offs = list(offs)
         self.cols = [list(col) for col in cols]
-
-    def check(self, first: int, last: int):
-        """Strictness down columns ``first..last`` (0-based) and the weak
-        row condition on every adjacent pair that includes one of them;
-        raises what :class:`SkewTableau` would."""
-        cols = self.cols
-        for c in range(first, last + 1):
-            col = cols[c]
-            for r in range(1, len(col)):
-                if col[r - 1] >= col[r]:
-                    raise NonDecreasingColumn(f"column {c + 1} not strictly increasing")
-        self.check_rows(max(first, 1), min(last + 1, len(cols) - 1))
-
-    def check_rows(self, first: int, last: int):
-        """The weak row condition between columns ``c - 1`` and ``c`` for
-        ``c`` in ``first..last``."""
-        offs, cols = self.offs, self.cols
-        for c in range(first, last + 1):
-            lo, ro = offs[c - 1], offs[c]
-            left, right = cols[c - 1], cols[c]
-            for r in range(max(lo, ro), min(lo + len(left), ro + len(right))):
-                if left[r - lo] > right[r - ro]:
-                    raise DecreasingRow(f"row {r + 1} decreases between columns {c} and {c + 1}")
 
     def pull_down(self, l: int, d: int):
         """Shift columns ``0..l-1`` down ``d >= 0`` rows, ``l`` being less
@@ -321,7 +294,7 @@ class _WorkingTableau:
             if cols[c]:
                 offs[c] += d
         try:
-            self.check_rows(l, l)
+            _check_skew(offs, cols, l, l - 1)  # no column; only the pair l - 1, l
         except TableauError as exc:
             raise IllegalShift(str(exc)) from exc
 
@@ -355,7 +328,7 @@ class _WorkingTableau:
                 break
         del col[0]
         offs[c] = r + 1 if col else 0
-        self.check(c, j)
+        _check_skew(offs, cols, c, j)
 
     def length_swap(self, j: int):
         """The j-th length swap (1-based) in place; returns the fields of

@@ -79,8 +79,6 @@ class Tableau:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise EntryOutOfBound(f"entry bound must be >= 1, got {self.n}")
         if not _is_semistandard(self.columns, self.n):
             _raise_first_violation(self.columns, self.n)
 
@@ -141,6 +139,14 @@ class Tableau:
         return format_tableau(self)
 
 
+def _check_bound(n):
+    """Raise :class:`EntryOutOfBound` unless ``n`` is an int >= 1."""
+    if type(n) is not int:
+        raise EntryOutOfBound(f"entry bound {n!r} is not an integer")
+    if n < 1:
+        raise EntryOutOfBound(f"entry bound must be >= 1, got {n}")
+
+
 _INT = {int}
 
 
@@ -148,7 +154,7 @@ def _is_semistandard(columns, n) -> bool:
     """Whether ``Tableau.__post_init__`` accepts these columns: every
     check of ``_raise_first_violation``, made column by column in C loops
     (a strictly increasing column lies in 1..n iff its ends do)."""
-    if not set(map(type, chain.from_iterable(columns))) <= _INT:
+    if type(n) is not int or n < 1 or not set(map(type, chain.from_iterable(columns))) <= _INT:
         return False
     prev = None
     for col in columns:
@@ -161,7 +167,9 @@ def _is_semistandard(columns, n) -> bool:
 
 
 def _raise_first_violation(columns, n):
-    """Raise the error naming the first violation, in reading order."""
+    """Raise the error naming the first violation: a bad entry bound,
+    then the shape, then the entries in reading order."""
+    _check_bound(n)
     lengths = tuple(len(c) for c in columns)
     if any(l == 0 for l in lengths) or any(a < b for a, b in zip(lengths, lengths[1:])):
         raise RaggedShape(f"column lengths {lengths} do not form a shape")
@@ -193,9 +201,17 @@ def entrywise_leq(a: Tableau, b: Tableau) -> bool:
 
 # -- text format ----------------------------------------------------------
 #
-# One row per line, entries separated by single spaces, rows top-left
+# One row per line, ASCII decimal entries separated by spaces, rows top-left
 # justified.  An optional first line "n=<bound>" fixes the entry bound;
 # otherwise the maximum entry present is used.  A blank line terminates.
+
+
+def _decimal(tok: str) -> int:
+    """``int(tok)`` for ASCII text without underscores: ``int`` alone also
+    reads ``1_0`` as 10 and non-ASCII digits such as ``١``."""
+    if not tok.isascii() or "_" in tok:
+        raise ValueError(tok)
+    return int(tok)
 
 
 def parse_tableau(text: str) -> Tableau:
@@ -211,16 +227,17 @@ def parse_tableau(text: str) -> Tableau:
             continue
         if stripped.startswith("n=") and not rows:
             try:
-                n = int(stripped[2:])
+                n = _decimal(stripped[2:])
             except ValueError:
                 raise TableauSyntaxError(f"bad entry bound {stripped!r}", lineno)
             if n < 1:
                 raise TableauSyntaxError("entry bound must be positive", lineno)
             continue
         row = []
+        to_int = int if stripped.isascii() and "_" not in stripped else _decimal
         for colno, tok in enumerate(stripped.split(), start=1):
             try:
-                e = int(tok)
+                e = to_int(tok)
             except ValueError:
                 raise TableauSyntaxError(f"not an integer: {tok!r}", lineno, colno)
             if e < 1:
@@ -280,10 +297,9 @@ def enumerate_tableaux(shape, n: int):
     bottom, columns left to right), which keeps golden files stable.
     An entry bound below 1 raises :class:`EntryOutOfBound`.
     """
+    _check_bound(n)
     shape = tuple(shape)
-    if n < 1:
-        raise EntryOutOfBound(f"entry bound must be >= 1, got {n}")
-    if shape and not is_shape(shape):
+    if not is_shape(shape):
         raise RaggedShape(f"{shape} is not a shape")
     if not shape:
         yield Tableau((), n)
@@ -311,8 +327,12 @@ def count_tableaux(shape, n: int) -> int:
 
     Independent column-by-column dynamic program over all strictly
     increasing columns; used as a counting oracle for the enumerator.
+    Validates ``shape`` and ``n`` as :func:`enumerate_tableaux` does.
     """
+    _check_bound(n)
     shape = tuple(shape)
+    if not is_shape(shape):
+        raise RaggedShape(f"{shape} is not a shape")
     if not shape:
         return 1
     if shape[0] > n:
@@ -342,14 +362,15 @@ class SkewTableau:
     empty column places no cell and is stored at offset 0.  After
     length swaps the column lengths need not be weakly decreasing; validity
     is adjacency-level only: strict down each column, weak along every pair
-    of horizontally adjacent boxes.
+    of horizontally adjacent boxes.  One checker, :func:`_check_skew`,
+    serves construction and the jdt oracle's in-place length swaps.
     """
 
     columns: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        if not _is_skew_semistandard(self.columns):
-            _raise_first_skew_violation(self.columns)
+        cols = self.columns
+        _check_skew([off for off, _ in cols], [col for _, col in cols], 0, len(cols) - 1)
 
     @classmethod
     def from_tableau(cls, t: Tableau) -> "SkewTableau":
@@ -370,52 +391,32 @@ class SkewTableau:
         return out
 
 
-def _is_skew_semistandard(columns) -> bool:
-    """Whether ``SkewTableau.__post_init__`` accepts these columns: every
-    check of ``_raise_first_skew_violation``, made in C loops.  Two
-    neighbouring columns are compared from the first row both occupy;
-    ``map`` stops where the first of them ends."""
-    if not set(map(type, chain.from_iterable([col for _, col in columns]))) <= _INT:
-        return False
-    prev_off, prev = 0, ()
-    for off, col in columns:
-        if col:
-            if off < 0 or col[0] < 1 or not all(map(lt, col, col[1:])):
-                return False
-            if prev:
-                if off > prev_off:
-                    if not all(map(le, prev[off - prev_off:], col)):
-                        return False
-                elif not all(map(le, prev, col[prev_off - off:])):
-                    return False
-        elif off:
-            return False
-        prev_off, prev = off, col
-    return True
-
-
-def _raise_first_skew_violation(columns):
-    """Raise the error naming the first violation: column checks first,
-    then rows, each left to right."""
-    for i, (off, col) in enumerate(columns):
+def _check_skew(offs, cols, first, last):
+    """Check columns ``first..last`` (0-based) of a skew tableau given as
+    column offsets and entries, then the rows between columns ``c - 1``
+    and ``c`` for each ``c`` in ``first..last + 1`` that has both; raise
+    the first violation, columns before rows, each left to right."""
+    for c in range(first, last + 1):
+        off, col = offs[c], cols[c]
+        if type(off) is not int:
+            raise RaggedShape(f"offset {off!r} in column {c + 1} is not an integer")
         if off < 0:
-            raise RaggedShape(f"negative offset in column {i + 1}")
+            raise RaggedShape(f"negative offset in column {c + 1}")
         if off and not col:
-            raise RaggedShape(f"empty column {i + 1} stored at offset {off}, not 0")
-        for r, e in enumerate(col):
-            if type(e) is not int or e < 1:
-                raise EntryOutOfBound(f"bad entry {e} in column {i + 1}")
-            if r > 0 and col[r - 1] >= e:
-                raise NonDecreasingColumn(
-                    f"column {i + 1} not strictly increasing"
-                )
-    for i in range(1, len(columns)):
-        lo, lcol = columns[i - 1]
-        ro, rcol = columns[i]
-        top = max(lo, ro)
-        bot = min(lo + len(lcol), ro + len(rcol))
-        for r in range(top, bot):
-            if lcol[r - lo] > rcol[r - ro]:
-                raise DecreasingRow(
-                    f"row {r + 1} decreases between columns {i} and {i + 1}"
-                )
+            raise RaggedShape(f"empty column {c + 1} stored at offset {off}, not 0")
+        prev = 0
+        for e in col:
+            if type(e) is not int or e <= prev:
+                if type(e) is not int or e < 1:
+                    raise EntryOutOfBound(f"bad entry {e} in column {c + 1}")
+                raise NonDecreasingColumn(f"column {c + 1} not strictly increasing")
+            prev = e
+    # Conditional expressions, not max(): this runs after every pull-down
+    # and reverse slide of the oracle, where each builtin call shows.
+    k = len(cols)
+    for c in range(first or 1, last + 2 if last + 2 < k else k):
+        lo, ro = offs[c - 1], offs[c]
+        left, right = cols[c - 1], cols[c]
+        for r in range(lo if lo > ro else ro, min(lo + len(left), ro + len(right))):
+            if left[r - lo] > right[r - ro]:
+                raise DecreasingRow(f"row {r + 1} decreases between columns {c} and {c + 1}")

@@ -379,6 +379,20 @@ class TestStartup:
         assert proc.stdout == "[]\n"
 
 
+class TestUsage:
+    def test_usage_errors_exit_1(self, capsys, monkeypatch):
+        # argparse exits 2, which the CLI keeps for internal errors.
+        for argv in (["demazure", "--mu", "1", "--w", "1", "--n", "abc"],
+                     ["demazure", "--mu", "1", "--w", "1"], ["frobnicate"], []):
+            code, out, err = run(capsys, monkeypatch, argv)
+            assert (code, out) == (1, ""), argv
+            assert err.startswith("usage: keyscan") and "error:" in err, argv
+
+    def test_help_exits_0(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, monkeypatch, ["--help"])
+        assert code == 0 and out.startswith("usage: keyscan")
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

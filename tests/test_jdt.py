@@ -25,6 +25,7 @@ from keyscan.tableau import (
     NonDecreasingColumn,
     SkewTableau,
     Tableau,
+    _check_skew,
     enumerate_tableaux,
     parse_tableau,
 )
@@ -270,21 +271,24 @@ class TestInPlaceOracle:
 
     def test_touched_column_check_matches_validation(self):
         # Column 2 (index 1) is the touched one; each plant breaks one rule.
+        # A slide that changed column 2 alone checks that column and the
+        # two pairs bordering it, with the checker SkewTableau runs.
         legal = ((0, (1, 3, 7)), (1, (4, 8)), (0, (2, 4)))
         plants = [
             ((1, 2), 4, NonDecreasingColumn),  # column inversion in column 2
             ((0, 1), 5, DecreasingRow),  # row descent into column 2: 5 > 4
             ((2, 1), 3, DecreasingRow),  # row descent out of it: 4 > 3
         ]
-        w = _WorkingTableau([off for off, _ in legal], [col for _, col in legal])
-        w.check(1, 1)
+        offs = [off for off, _ in legal]
+        _check_skew(offs, [col for _, col in legal], 1, 1)
         for (c, r), entry, error in plants:
-            w = _WorkingTableau([off for off, _ in legal], [col for _, col in legal])
-            w.cols[c][r - w.offs[c]] = entry
-            with pytest.raises(error):
-                SkewTableau(tuple((off, tuple(col)) for off, col in zip(w.offs, w.cols)))
-            with pytest.raises(error):
-                w.check(1, 1)
+            cols = [list(col) for _, col in legal]
+            cols[c][r - offs[c]] = entry
+            with pytest.raises(error) as whole:
+                SkewTableau(tuple((off, tuple(col)) for off, col in zip(offs, cols)))
+            with pytest.raises(error) as touched:
+                _check_skew(offs, cols, 1, 1)
+            assert str(touched.value) == str(whole.value)
 
     def test_illegal_pull_down_is_caught(self):
         # Column 1 and the 1 of column 2 share no row until the shift.

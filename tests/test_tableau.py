@@ -42,7 +42,7 @@ def semistandard(cols, n):
 def skew_semistandard(cols):
     cells = {(c, off + r): e for c, (off, col) in enumerate(cols) for r, e in enumerate(col)}
     return (
-        all(off >= 0 and (col or not off) for off, col in cols)
+        all(type(off) is int and off >= 0 and (col or not off) for off, col in cols)
         and all(type(e) is int and e >= 1 for e in cells.values())
         and all(e < cells.get((c, r + 1), e + 1) for (c, r), e in cells.items())
         and all(e <= cells.get((c + 1, r), e) for (c, r), e in cells.items())
@@ -50,6 +50,7 @@ def skew_semistandard(cols):
 
 
 entries = st.one_of(st.integers(0, 5), st.sampled_from([True, 2.0]))
+offsets = st.one_of(st.integers(-1, 2), st.sampled_from([True, 0.5]))
 
 
 class TestValidation:
@@ -95,7 +96,7 @@ class TestValidation:
                 Tableau(cols, n)
 
     @settings(max_examples=200)
-    @given(st.lists(st.tuples(st.integers(0, 2), st.lists(entries, max_size=3)), max_size=4))
+    @given(st.lists(st.tuples(offsets, st.lists(entries, max_size=3)), max_size=4))
     def test_skew_accepts_exactly_semistandard(self, cols):
         cols = tuple((off, tuple(col)) for off, col in cols)
         if skew_semistandard(cols):
@@ -111,6 +112,8 @@ class TestValidation:
             (((2, 3), (1, True)), 3, DecreasingRow, "row 1 decreases between columns 1 and 2"),
             (((1, 2), (1, True)), 3, EntryOutOfBound,
              "entry True at row 2, column 2 is not an integer in 1..3"),
+            (((1, 2),), 2.5, EntryOutOfBound, "entry bound 2.5 is not an integer"),
+            (((1, 2),), "3", EntryOutOfBound, "entry bound '3' is not an integer"),
         ):
             with pytest.raises(error) as info:
                 Tableau(cols, n)
@@ -120,6 +123,8 @@ class TestValidation:
             (((0, (2, 3)), (1, (1, 4))), DecreasingRow, "row 2 decreases between columns 1 and 2"),
             (((0, (1,)), (-1, ())), RaggedShape, "negative offset in column 2"),
             (((0, (0,)), (0, (2.0,))), EntryOutOfBound, "bad entry 0 in column 1"),
+            (((0.5, (1,)),), RaggedShape, "offset 0.5 in column 1 is not an integer"),
+            (((0, (1,)), (0.5, (2,))), RaggedShape, "offset 0.5 in column 2 is not an integer"),
         ):
             with pytest.raises(error) as info:
                 SkewTableau(cols)
@@ -202,6 +207,19 @@ class TestTextFormat:
         with pytest.raises(TableauSyntaxError, match="column 2"):
             parse_tableau("1 x\n")
 
+    def test_only_ascii_decimal_tokens(self):
+        # int() alone reads "1_0" as 10 and the Arabic-Indic digit one as 1.
+        for text, message in (
+            ("1 1_0\n", "line 1, column 2: not an integer: '1_0'"),
+            ("1 2\n\u0661\n", "line 2, column 1: not an integer: '\u0661'"),
+            ("n=1_0\n1\n", "line 1: bad entry bound 'n=1_0'"),
+            ("n=\u0663\n1\n", "line 1: bad entry bound 'n=\u0663'"),
+        ):
+            with pytest.raises(TableauSyntaxError) as info:
+                parse_tableau(text)
+            assert str(info.value) == message
+        assert parse_tableau("1\u00a02\n").columns == ((1,), (2,))
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_round_trip_random(self, data):
@@ -230,6 +248,15 @@ class TestEnumeration:
         words = [sum(t.columns, ()) for t in ts]
         assert words == sorted(words)
         assert len(set(words)) == len(words)
+
+    def test_count_validates_like_enumeration(self):
+        for shape, n, error in (((1, 2), 3, RaggedShape), ((2, 0), 3, RaggedShape),
+                                ((1,), 0, EntryOutOfBound), ((1,), 2.0, EntryOutOfBound)):
+            with pytest.raises(error) as counted:
+                count_tableaux(shape, n)
+            with pytest.raises(error) as enumerated:
+                list(enumerate_tableaux(shape, n))
+            assert str(counted.value) == str(enumerated.value)
 
     def test_counts_match_dp_oracle(self):
         for shape in shapes_up_to(8, 6):
