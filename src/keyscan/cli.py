@@ -8,6 +8,9 @@ to standard error.
 Exit codes: 1 for bad input or a malformed command line, 2 for an oracle
 or engine disagreement or any other internal error (an implementation
 bug), 3 for a verification counterexample.
+
+Each handler imports the modules it runs, so a subcommand loads only
+what it needs, and reads their functions off the module at call time.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ import argparse
 import functools
 import sys
 
-from . import demazure, jdt, scanning, verify
 from .tableau import (
     TableauError,
+    _decimal,
     enumerate_tableaux,
     format_tableau,
     parse_tableau,
@@ -43,7 +46,7 @@ def _read_tableau(path):
 
 def _int_list(text):
     try:
-        return tuple(int(x) for x in text.replace(",", " ").split())
+        return tuple(_decimal(x) for x in text.replace(",", " ").split())
     except ValueError:
         raise TableauError(f"not a list of integers: {text!r}")
 
@@ -68,24 +71,38 @@ def _explain(label, traces):
 
 
 def _cmd_right_key(args):
+    from . import scanning
+
     t = _read_tableau(args.file)
     s = scanning.scanning_tableau(t)
     if args.explain:
         _explain("start", scanning.scan_trace(t))
     sys.stdout.write(format_tableau(s))
-    return _check_oracle(s, jdt.right_key_oracle(t)) if args.oracle else 0
+    if not args.oracle:
+        return 0
+    from . import jdt
+
+    return _check_oracle(s, jdt.right_key_oracle(t))
 
 
 def _cmd_left_key(args):
+    from . import scanning
+
     t = _read_tableau(args.file)
     lk = scanning.left_key(t)
     if args.explain:
         _explain("end", scanning.left_trace(t))
     sys.stdout.write(format_tableau(lk))
-    return _check_oracle(lk, jdt.left_key_oracle(t)) if args.oracle else 0
+    if not args.oracle:
+        return 0
+    from . import jdt
+
+    return _check_oracle(lk, jdt.left_key_oracle(t))
 
 
 def _cmd_verify(args):
+    from . import verify
+
     if args.jobs < 1:
         raise TableauError(f"--jobs must be at least 1, got {args.jobs}")
     report = verify.run_sweep(
@@ -97,6 +114,8 @@ def _cmd_verify(args):
 
 
 def _cmd_demazure(args):
+    from . import demazure
+
     mu, w, n = _int_list(args.mu), _int_list(args.w), args.n
     if args.all_engines:
         by_scan = demazure.demazure_character(mu, w, n, engine="scan")
@@ -120,6 +139,8 @@ def _cmd_demazure(args):
 
 
 def _cmd_schur(args):
+    from . import demazure
+
     p = demazure.schur_polynomial(_int_list(args.mu), args.n)
     sys.stdout.write(demazure.format_polynomial(p))
     return 0
@@ -135,10 +156,20 @@ def _cmd_enumerate(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads ``type=int`` options as tableau text reads entries: ASCII
+    decimal only, so ``1_0`` and non-ASCII digits such as ``١`` are
+    usage errors, named as argparse names a bad ``int``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("type", int, _decimal)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process and shared by every call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="keyscan",
         description="Right and left keys of semistandard tableaux, "
         "with jeu de taquin verification and Demazure characters.",

@@ -16,13 +16,13 @@ All arithmetic is exact integer arithmetic on sparse exponent maps.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import gt
 
-from . import jdt, scanning
+from . import scanning
 from .tableau import (
     Tableau,
     TableauError,
+    _Frozen,
     _columns_of_length,
     conjugate,
     entrywise_leq,
@@ -38,16 +38,18 @@ class BadDimensions(TableauError):
     pass
 
 
-@dataclass(frozen=True)
-class SparsePolynomial:
+class SparsePolynomial(_Frozen):
     """Integer-coefficient polynomial keyed by exponent vectors.
 
     ``terms`` maps length-``nvars`` exponent tuples to nonzero integer
-    coefficients.
+    coefficients; it defaults to a new empty dict.  The dict makes the
+    polynomial unhashable.
     """
 
-    nvars: int
-    terms: dict = field(default_factory=dict)
+    def __init__(self, nvars: int, terms: dict | None = None):
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", {} if terms is None else terms)
+        self.__post_init__()
 
     def __post_init__(self):
         for mono, coeff in self.terms.items():
@@ -55,6 +57,16 @@ class SparsePolynomial:
                 raise BadDimensions(f"monomial {mono} is not of length {self.nvars}")
             if coeff == 0:
                 raise ValueError("zero coefficient stored")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.nvars == other.nvars and self.terms == other.terms
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(nvars={self.nvars!r}, terms={self.terms!r})"
 
     @classmethod
     def monomial(cls, exponents, coeff=1):
@@ -214,6 +226,9 @@ def demazure_character(mu, w, n: int, engine: str = "scan") -> SparsePolynomial:
         _extend(k - 1, [()] * k, key.columns, [0] * n, weights, 0,
                 scanning._kernel.scan_columns, {})
     else:
+        # Imported here: only the oracle engine runs jeu de taquin.
+        from . import jdt
+
         weights.update(
             t.weight()
             for t in enumerate_tableaux(key.shape, n)

@@ -20,11 +20,9 @@ pure-Python kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import _scan_py
 from ._scan_py import InternalInvariantError
-from .tableau import Tableau
+from .tableau import Tableau, _Frozen
 
 try:
     from . import _scankernel as _kernel
@@ -41,8 +39,7 @@ class EmptySequence(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EwisResult:
+class EwisResult(_Frozen):
     """Earliest weakly increasing subsequence of a sequence.
 
     ``indices`` are 1-based positions into the scanned sequence; the first
@@ -50,8 +47,20 @@ class EwisResult:
     smallest one whose value is >= the previous member.
     """
 
-    indices: tuple[int, ...]
-    values: tuple[int, ...]
+    def __init__(self, indices: tuple[int, ...], values: tuple[int, ...]):
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.indices == other.indices and self.values == other.values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.indices, self.values))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(indices={self.indices!r}, values={self.values!r})"
 
     @property
     def last(self) -> int:

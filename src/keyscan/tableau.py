@@ -12,7 +12,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations
 from operator import le, lt
 
@@ -50,6 +49,21 @@ class TableauSyntaxError(TableauError):
         super().__init__(message)
 
 
+class _Frozen:
+    """Base of the immutable value classes: assigning or deleting an
+    attribute raises ``AttributeError``.  Each subclass writes its own
+    ``__init__`` (fields set by ``object.__setattr__``), ``__eq__``,
+    ``__hash__`` and ``__repr__``, field by field."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def is_shape(lengths) -> bool:
     """True iff ``lengths`` is a weakly decreasing sequence of positive integers."""
     lengths = tuple(lengths)
@@ -66,8 +80,7 @@ def conjugate(lengths) -> tuple[int, ...]:
     return tuple(sum(1 for x in lengths if x >= r) for r in range(1, max(lengths) + 1))
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(_Frozen):
     """A semistandard Young tableau, stored column by column.
 
     ``columns[i][r]`` is the entry in column ``i`` (0-based), row ``r``
@@ -75,12 +88,25 @@ class Tableau:
     raises a :class:`TableauError` subclass naming the first violation.
     """
 
-    columns: tuple[tuple[int, ...], ...]
-    n: int
+    def __init__(self, columns: tuple[tuple[int, ...], ...], n: int):
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "n", n)
+        self.__post_init__()
 
     def __post_init__(self):
         if not _is_semistandard(self.columns, self.n):
             _raise_first_violation(self.columns, self.n)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.columns == other.columns and self.n == other.n
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.columns, self.n))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(columns={self.columns!r}, n={self.n!r})"
 
     # -- basic structure -------------------------------------------------
 
@@ -354,8 +380,7 @@ def count_tableaux(shape, n: int) -> int:
 # -- skew tableaux ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SkewTableau:
+class SkewTableau(_Frozen):
     """A filling of a skew diagram, stored as (offset, entries) per column.
 
     Column ``i`` occupies rows ``offset .. offset+len(entries)-1``; an
@@ -366,11 +391,24 @@ class SkewTableau:
     serves construction and the jdt oracle's in-place length swaps.
     """
 
-    columns: tuple[tuple[int, tuple[int, ...]], ...]
+    def __init__(self, columns: tuple[tuple[int, tuple[int, ...]], ...]):
+        object.__setattr__(self, "columns", columns)
+        self.__post_init__()
 
     def __post_init__(self):
         cols = self.columns
         _check_skew([off for off, _ in cols], [col for _, col in cols], 0, len(cols) - 1)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.columns == other.columns
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.columns,))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(columns={self.columns!r})"
 
     @classmethod
     def from_tableau(cls, t: Tableau) -> "SkewTableau":

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
 
 from . import jdt, scanning
 from .tableau import SkewTableau, Tableau, TableauError, entrywise_leq, enumerate_tableaux
@@ -36,14 +35,34 @@ def shapes_up_to(max_boxes: int, max_length: int | None = None):
         yield from _partitions(m, min(m, cap0))
 
 
-@dataclass
 class VerifyReport:
-    shapes: int = 0
-    tableaux: int = 0
-    keys: int = 0
-    swaps: int = 0
-    counterexamples: list = field(default_factory=list)
-    elapsed: float = 0.0
+    """Counts and counterexamples of a sweep, merged shape by shape.
+    ``counterexamples`` defaults to a new empty list.  Mutable, so
+    unhashable."""
+
+    def __init__(self, shapes: int = 0, tableaux: int = 0, keys: int = 0, swaps: int = 0,
+                 counterexamples: list | None = None, elapsed: float = 0.0):
+        self.shapes = shapes
+        self.tableaux = tableaux
+        self.keys = keys
+        self.swaps = swaps
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.elapsed = elapsed
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.shapes == other.shapes and self.tableaux == other.tableaux
+                    and self.keys == other.keys and self.swaps == other.swaps
+                    and self.counterexamples == other.counterexamples
+                    and self.elapsed == other.elapsed)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"{self.__class__.__qualname__}(shapes={self.shapes!r}, "
+                f"tableaux={self.tableaux!r}, keys={self.keys!r}, swaps={self.swaps!r}, "
+                f"counterexamples={self.counterexamples!r}, elapsed={self.elapsed!r})")
 
     @property
     def ok(self) -> bool:

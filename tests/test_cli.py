@@ -378,6 +378,65 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
+    @pytest.mark.parametrize("argv, unloaded", [
+        (None, ("dataclasses", "inspect", "keyscan.scanning", "keyscan.jdt",
+                "keyscan.demazure", "keyscan.verify")),
+        (["right-key"], ("dataclasses", "keyscan.jdt", "keyscan.demazure", "keyscan.verify")),
+        (["left-key"], ("dataclasses", "keyscan.jdt", "keyscan.demazure", "keyscan.verify")),
+        (["demazure", "--mu", "2,1", "--w", "2,3,1", "--n", "3", "--engine", "scan"],
+         ("keyscan.jdt", "keyscan.verify")),
+    ])
+    def test_subcommand_loads_only_what_it_runs(self, argv, unloaded):
+        # A fresh interpreter imports the CLI, runs one subcommand with
+        # its output discarded, and lists the modules it left loaded.
+        proc = run_python(
+            "import io, sys\n"
+            "from keyscan.cli import main\n"
+            f"argv = {argv!r}\n"
+            "if argv is not None:\n"
+            f"    sys.stdin, sys.stdout = io.StringIO({EXAMPLE_T_TEXT!r}), io.StringIO()\n"
+            "    rc = main(argv)\n"
+            "    sys.stdout = sys.__stdout__\n"
+            "    assert rc == 0, rc\n"
+            f"print([m for m in {unloaded!r} if m in sys.modules])\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+
+class TestStrictIntegers:
+    # Integer flags and lists read ASCII decimal only, as tableau text
+    # does: int() alone would take 1_0 as 10 and read non-ASCII digits.
+    @pytest.mark.parametrize("flag, argv", [
+        ("--n", ["schur", "--mu", "1", "--n", "{}"]),
+        ("--max-boxes", ["verify", "--max-boxes", "{}", "--max-entry", "1"]),
+        ("--max-entry", ["verify", "--max-boxes", "1", "--max-entry", "{}"]),
+        ("--jobs", ["verify", "--max-boxes", "1", "--max-entry", "1", "--jobs", "{}"]),
+    ])
+    def test_integer_flag(self, capsys, monkeypatch, flag, argv):
+        for bad in ("1_0", "\u0661", "\uff13"):
+            code, out, err = run(capsys, monkeypatch, [a.format(bad) for a in argv])
+            assert (code, out) == (1, ""), bad
+            assert err.startswith("usage: keyscan"), bad
+            assert [line for line in err.splitlines() if "error:" in line] == [
+                f"keyscan {argv[0]}: error: argument {flag}: invalid int value: {bad!r}"
+            ]
+
+    @pytest.mark.parametrize("argv", [
+        ["demazure", "--mu", "{}", "--w", "1", "--n", "1"],
+        ["demazure", "--mu", "1", "--w", "{}", "--n", "1"],
+        ["enumerate", "--shape", "{}", "--n", "2"],
+    ])
+    def test_integer_list(self, capsys, monkeypatch, argv):
+        for bad in ("1_0", "\u0661", "\uff13"):
+            code, out, err = run(capsys, monkeypatch, [a.format(bad) for a in argv])
+            assert (code, out) == (1, ""), bad
+            assert err == f"error: not a list of integers: {bad!r}\n"
+
+    def test_ascii_integers_still_read(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, monkeypatch, ["schur", "--mu", " 1, 1 ", "--n", " 2"])
+        assert (code, out) == (0, "1 1 1\n")
+
 
 class TestUsage:
     def test_usage_errors_exit_1(self, capsys, monkeypatch):

@@ -3,11 +3,14 @@
 The traced benchmark patches functions and methods by name, and the
 README and benchmark scripts import by name; a deletion that breaks one
 of them fails here rather than in a later benchmark run.  The layer
-benchmark ``benchmarks/bench_scan.py`` is also run once on tiny inputs.
+benchmark ``benchmarks/bench_scan.py`` is also run once on tiny inputs,
+and the start-up benchmark ``benchmarks/bench_startup.py`` twice per
+case, with this checkout on both sides.
 """
 
 import ast
 import importlib
+import json
 import importlib.util
 import os
 import re
@@ -80,6 +83,30 @@ def test_public_names_resolve():
         assert hasattr(keyscan, name), name
 
 
+def test_package_loads_on_first_use():
+    # A fresh interpreter: ``import keyscan`` loads no submodule, and a
+    # public name or a module of the table loads its module when read.
+    code = (
+        "import sys, keyscan\n"
+        "print(sorted(m for m in sys.modules if m.startswith('keyscan.') and '._' not in m))\n"
+        "assert keyscan.rectify is keyscan.jdt.rectify\n"
+        "from keyscan import demazure, schur_polynomial\n"
+        "assert schur_polynomial is demazure.schur_polynomial\n"
+        "assert set(keyscan.__all__) <= set(dir(keyscan))\n"
+        "assert not hasattr(keyscan, 'no_such_name')\n"
+        "print(sorted(m for m in sys.modules if m.startswith('keyscan.') and '._' not in m))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(keyscan.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]", "['keyscan.demazure', 'keyscan.jdt', 'keyscan.scanning', 'keyscan.tableau']",
+    ]
+
+
 def test_imported_names_resolve():
     sources = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
     sources += [path.read_text() for path in sorted((ROOT / "benchmarks").glob("*.py"))]
@@ -101,3 +128,19 @@ def test_bench_scan_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "right key (scan_columns):" in proc.stdout
+
+
+def test_bench_startup_runs(tmp_path):
+    out = tmp_path / "startup.json"
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/bench_startup.py", "--parent", str(ROOT),
+         "--change", str(ROOT), "--samples", "2", "--out", str(out)],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "right-key: parent" in proc.stdout
+    report = json.loads(out.read_text())
+    assert set(report["cases"]) == {
+        "import keyscan.cli", "right-key", "left-key", "demazure --engine scan",
+        "verify --max-boxes 3 --max-entry 3",
+    }
