@@ -5,9 +5,9 @@ Tableaux are read from a file argument or standard input in the text
 format of :mod:`keyscan.tableau`; results go to standard output, traces
 to standard error.
 
-Exit codes: 1 for bad input or a malformed command line, 2 for an oracle
-or engine disagreement or any other internal error (an implementation
-bug), 3 for a verification counterexample.
+Exit codes: 1 for bad input, a malformed command line or unwritable output,
+2 for an oracle or engine disagreement or any other internal error (an
+implementation bug), 3 for a verification counterexample.
 
 Each handler imports the modules it runs, so a subcommand loads only
 what it needs, and reads their functions off the module at call time.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .tableau import (
@@ -103,8 +104,6 @@ def _cmd_left_key(args):
 def _cmd_verify(args):
     from . import verify
 
-    if args.jobs < 1:
-        raise TableauError(f"--jobs must be at least 1, got {args.jobs}")
     report = verify.run_sweep(
         args.max_boxes, args.max_entry, jobs=args.jobs, check_swaps=args.check_swaps
     )
@@ -225,8 +224,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return 1 if exc.code else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a write error is reported here, not at exit
+        return code
     except TableauError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # unwritable output: a closed pipe, a full disk
+        if sys.stdout is sys.__stdout__:
+            # Drop what is still buffered, or the flush at exit fails too.
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # a bug: one line (repr escapes newlines), exit 2

@@ -27,6 +27,7 @@ from .tableau import (
     conjugate,
     entrywise_leq,
     enumerate_tableaux,
+    is_shape,
 )
 
 
@@ -160,7 +161,7 @@ def _check_partition(mu, n):
     if n < 1:
         raise BadDimensions(f"entry bound must be >= 1, got {n}")
     mu = tuple(p for p in mu if p)
-    if any(a < b for a, b in zip(mu, mu[1:])) or any(p < 0 for p in mu):
+    if not is_shape(mu):
         raise BadDimensions(f"{mu} is not a partition")
     if len(mu) > n:
         raise BadDimensions(f"partition {mu} has more than n={n} rows")

@@ -12,8 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from itertools import chain, combinations
-from operator import le, lt
+from itertools import combinations
 
 
 class TableauError(ValueError):
@@ -65,11 +64,14 @@ class _Frozen:
 
 
 def is_shape(lengths) -> bool:
-    """True iff ``lengths`` is a weakly decreasing sequence of positive integers."""
-    lengths = tuple(lengths)
-    return all(type(x) is int and x >= 1 for x in lengths) and all(
-        a >= b for a, b in zip(lengths, lengths[1:])
-    )
+    """True iff the iterable ``lengths`` is weakly decreasing and of
+    positive integers; the one shape rule of the package."""
+    prev = 0  # 0 only before the first length
+    for x in lengths:
+        if type(x) is not int or x < 1 or 0 < prev < x:
+            return False
+        prev = x
+    return True
 
 
 def conjugate(lengths) -> tuple[int, ...]:
@@ -94,8 +96,29 @@ class Tableau(_Frozen):
         self.__post_init__()
 
     def __post_init__(self):
-        if not _is_semistandard(self.columns, self.n):
-            _raise_first_violation(self.columns, self.n)
+        """Raise the first violation: a bad entry bound, the shape, then each
+        entry in reading order, for its range, its column, then its row."""
+        columns, n = self.columns, self.n
+        _check_bound(n)
+        if not is_shape(map(len, columns)):
+            raise RaggedShape(f"column lengths {tuple(map(len, columns))} do not form a shape")
+        # Column 1 is its own left neighbour, so its row test never fails.
+        left = columns[0] if columns else ()
+        for i, col in enumerate(columns):
+            above = 0
+            for r, e in enumerate(col):
+                if type(e) is not int or e < 1 or e > n:
+                    raise EntryOutOfBound(
+                        f"entry {e!r} at row {r + 1}, column {i + 1} is not an integer in 1..{n}"
+                    )
+                if above >= e:
+                    raise NonDecreasingColumn(
+                        f"column {i + 1} not strictly increasing at row {r + 1}"
+                    )
+                if left[r] > e:
+                    raise DecreasingRow(f"row {r + 1} decreases between columns {i} and {i + 1}")
+                above = e
+            left = col
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -133,7 +156,7 @@ class Tableau(_Frozen):
         """Build and validate a tableau from a top-left-justified grid of rows."""
         rows = [list(r) for r in rows]
         widths = [len(r) for r in rows]
-        if any(w == 0 for w in widths) or any(a < b for a, b in zip(widths, widths[1:])):
+        if not is_shape(widths):
             raise RaggedShape(f"row lengths {widths} are not top-left justified")
         if n is None:
             n = max((e for r in rows for e in r), default=1)
@@ -171,49 +194,6 @@ def _check_bound(n):
         raise EntryOutOfBound(f"entry bound {n!r} is not an integer")
     if n < 1:
         raise EntryOutOfBound(f"entry bound must be >= 1, got {n}")
-
-
-_INT = {int}
-
-
-def _is_semistandard(columns, n) -> bool:
-    """Whether ``Tableau.__post_init__`` accepts these columns: every
-    check of ``_raise_first_violation``, made column by column in C loops
-    (a strictly increasing column lies in 1..n iff its ends do)."""
-    if type(n) is not int or n < 1 or not set(map(type, chain.from_iterable(columns))) <= _INT:
-        return False
-    prev = None
-    for col in columns:
-        if not (col and col[0] >= 1 and col[-1] <= n and all(map(lt, col, col[1:]))):
-            return False
-        if prev is not None and (len(col) > len(prev) or not all(map(le, prev, col))):
-            return False
-        prev = col
-    return True
-
-
-def _raise_first_violation(columns, n):
-    """Raise the error naming the first violation: a bad entry bound,
-    then the shape, then the entries in reading order."""
-    _check_bound(n)
-    lengths = tuple(len(c) for c in columns)
-    if any(l == 0 for l in lengths) or any(a < b for a, b in zip(lengths, lengths[1:])):
-        raise RaggedShape(f"column lengths {lengths} do not form a shape")
-    for i, col in enumerate(columns):
-        for r, e in enumerate(col):
-            if type(e) is not int or e < 1 or e > n:
-                raise EntryOutOfBound(
-                    f"entry {e!r} at row {r + 1}, column {i + 1} is not an "
-                    f"integer in 1..{n}"
-                )
-            if r > 0 and col[r - 1] >= e:
-                raise NonDecreasingColumn(
-                    f"column {i + 1} not strictly increasing at row {r + 1}"
-                )
-            if i > 0 and r < len(columns[i - 1]) and columns[i - 1][r] > e:
-                raise DecreasingRow(
-                    f"row {r + 1} decreases between columns {i} and {i + 1}"
-                )
 
 
 def entrywise_leq(a: Tableau, b: Tableau) -> bool:
@@ -316,6 +296,15 @@ def _fill_column(r, lo, col, n, lower, upper, out):
             _fill_column(r + 1, e + 1, col, n, lower, upper, out)
 
 
+def _check_shape(shape, n):
+    """``shape`` as a tuple, once it and ``n`` pass the checks of enumeration."""
+    _check_bound(n)
+    shape = tuple(shape)
+    if not is_shape(shape):
+        raise RaggedShape(f"{shape} is not a shape")
+    return shape
+
+
 def enumerate_tableaux(shape, n: int):
     """Yield every semistandard tableau of ``shape`` with entries <= ``n``.
 
@@ -323,10 +312,7 @@ def enumerate_tableaux(shape, n: int):
     bottom, columns left to right), which keeps golden files stable.
     An entry bound below 1 raises :class:`EntryOutOfBound`.
     """
-    _check_bound(n)
-    shape = tuple(shape)
-    if not is_shape(shape):
-        raise RaggedShape(f"{shape} is not a shape")
+    shape = _check_shape(shape, n)
     if not shape:
         yield Tableau((), n)
         return
@@ -355,10 +341,7 @@ def count_tableaux(shape, n: int) -> int:
     increasing columns; used as a counting oracle for the enumerator.
     Validates ``shape`` and ``n`` as :func:`enumerate_tableaux` does.
     """
-    _check_bound(n)
-    shape = tuple(shape)
-    if not is_shape(shape):
-        raise RaggedShape(f"{shape} is not a shape")
+    shape = _check_shape(shape, n)
     if not shape:
         return 1
     if shape[0] > n:

@@ -176,8 +176,8 @@ def _sweep_shape(args):
 def run_sweep(max_boxes: int, max_entry: int, jobs: int = 1,
               check_swaps: bool = False) -> VerifyReport:
     """Run the full census sweep; counterexample-free iff report.ok.
-    Both bounds must be at least 1."""
-    for name, bound in (("max_boxes", max_boxes), ("max_entry", max_entry)):
+    Both bounds and ``jobs`` must be at least 1."""
+    for name, bound in (("max_boxes", max_boxes), ("max_entry", max_entry), ("jobs", jobs)):
         if bound < 1:
             raise TableauError(f"{name} must be >= 1, got {bound}")
     start = time.perf_counter()

@@ -10,7 +10,7 @@ import pytest
 
 import keyscan
 from keyscan import jdt, scanning, verify
-from keyscan.tableau import Tableau, parse_tableau
+from keyscan.tableau import Tableau, TableauError, parse_tableau
 from keyscan.cli import build_parser, main
 
 from conftest import EXAMPLE_KEY_TEXT, EXAMPLE_T_TEXT
@@ -26,13 +26,19 @@ def run(capsys, monkeypatch, argv, stdin=None):
     return code, out.out, out.err
 
 
-def run_python(code):
-    """Run ``code`` in a fresh interpreter that imports this keyscan."""
+def keyscan_env():
+    """The environment of a fresh interpreter that imports this keyscan."""
     src = str(Path(keyscan.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_python(code):
+    """Run ``code`` in a fresh interpreter that imports this keyscan."""
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], env=keyscan_env(), capture_output=True, text=True,
+        timeout=120,
     )
 
 
@@ -176,7 +182,7 @@ class TestVerify:
             ["verify", "--max-boxes", "2", "--max-entry", "2", "--jobs", "0"],
         )
         assert code == 1
-        assert out == "" and "error: --jobs" in err
+        assert out == "" and err == "error: jobs must be >= 1, got 0\n"
 
     def test_bad_bounds_exit_1(self, capsys, monkeypatch):
         for boxes, entry, name, value in (("2", "0", "max_entry", "0"),
@@ -187,6 +193,11 @@ class TestVerify:
             )
             assert code == 1
             assert out == "" and err == f"error: {name} must be >= 1, got {value}\n"
+        # the library checks jobs too, not only the CLI
+        for jobs in (0, -3):
+            with pytest.raises(TableauError) as info:
+                verify.run_sweep(2, 2, jobs=jobs)
+            assert str(info.value) == f"jobs must be >= 1, got {jobs}"
 
     def test_parallel_sweep_matches_serial(self):
         # A fresh interpreter, so that only the sweep can load the pool;
@@ -367,6 +378,57 @@ class TestEnumerate:
             code, out, err = run(capsys, monkeypatch, ["enumerate", "--shape", "1", "--n", n])
             assert code == 1
             assert out == "" and err == f"error: entry bound must be >= 1, got {n}\n"
+
+
+class TestOutputErrors:
+    def test_broken_pipe_exit_1(self, capsys, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        code = main(["enumerate", "--shape", "1", "--n", "2"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+    @staticmethod
+    def buffered_env():
+        """As in a shell pipeline: block-buffered stdout."""
+        env = keyscan_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        return env
+
+    def test_pipe_closed_after_first_line(self):
+        # About 90 kB of output, more than a pipe holds, so the writer is
+        # still running when the reader goes.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "keyscan.cli", "enumerate", "--shape", "3,3,2", "--n", "7"],
+            env=self.buffered_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert proc.stdout.readline() == "1 1 1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert err == "error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_exit_1(self, tmp_path):
+        # The output is still buffered when the command ends: the report
+        # is one line, with no second failure from the flush at exit.
+        path = tmp_path / "t.txt"
+        path.write_text(EXAMPLE_T_TEXT)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "keyscan.cli", "right-key", str(path)],
+                env=self.buffered_env(), stdout=full, stderr=subprocess.PIPE, text=True,
+                timeout=120,
+            )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: [Errno 28] No space left on device\n"
 
 
 class TestStartup:

@@ -179,6 +179,8 @@ class TestCompositions:
         for n in (0, -1):
             with pytest.raises(BadDimensions):
                 compose((), (), n)
+        with pytest.raises(BadDimensions, match=r"^\(2\.0, 1\) is not a partition$"):
+            demazure_character((2.0, 1), (1, 2), 2)
 
 
 class TestReducedWord:

@@ -114,6 +114,13 @@ class TestValidation:
              "entry True at row 2, column 2 is not an integer in 1..3"),
             (((1, 2),), 2.5, EntryOutOfBound, "entry bound 2.5 is not an integer"),
             (((1, 2),), "3", EntryOutOfBound, "entry bound '3' is not an integer"),
+            # the bound before the shape, the shape before any entry
+            (((1, 2), (1, 2, 3)), 0, EntryOutOfBound, "entry bound must be >= 1, got 0"),
+            (((1, 2), (0, 5, 9)), 3, RaggedShape, "column lengths (2, 3) do not form a shape"),
+            # within a cell: its range, then its column, then its row
+            (((2, 3), (3, 2)), 3, NonDecreasingColumn, "column 2 not strictly increasing at row 2"),
+            (((1, 4), (2, 3)), 3, EntryOutOfBound,
+             "entry 4 at row 2, column 1 is not an integer in 1..3"),
         ):
             with pytest.raises(error) as info:
                 Tableau(cols, n)
@@ -276,3 +283,8 @@ def test_is_shape():
     assert is_shape((3, 3, 1))
     assert not is_shape((1, 2))
     assert not is_shape((2, 0))
+    assert is_shape(iter((2, 2, 1)))
+    assert not is_shape(iter((2, 3)))
+    assert not is_shape((True,))
+    assert not is_shape((2.0,))
+    assert is_shape(())
