@@ -33,6 +33,8 @@ def _read_tableau(path):
     stdin = path in (None, "-")
     try:
         if stdin:
+            if sys.stdin is None:  # file descriptor 0 was closed at start
+                raise TableauError("standard input is closed")
             text = sys.stdin.read()
         else:
             with open(path, encoding="utf-8") as f:
@@ -164,6 +166,10 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         self.register("type", int, _decimal)
 
+    def print_help(self, file=None):
+        # argparse drops a write error, so help sent to a full disk exits 0.
+        (file or sys.stdout).write(self.format_help())
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -220,18 +226,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
-        return 1 if exc.code else 0
-    try:
-        code = args.func(args)
+        if sys.stdout is None:  # file descriptor 1 was closed at start
+            raise OSError("standard output is closed")
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+            code = 1 if exc.code else 0
+        else:
+            code = args.func(args)
         sys.stdout.flush()  # so that a write error is reported here, not at exit
         return code
     except TableauError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # unwritable output: a closed pipe, a full disk
-        if sys.stdout is sys.__stdout__:
+        if sys.stdout is sys.__stdout__ is not None:
             # Drop what is still buffered, or the flush at exit fails too.
             null = os.open(os.devnull, os.O_WRONLY)
             os.dup2(null, sys.stdout.fileno())

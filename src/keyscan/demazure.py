@@ -23,6 +23,7 @@ from .tableau import (
     Tableau,
     TableauError,
     _Frozen,
+    _check_bound,
     _columns_of_length,
     conjugate,
     entrywise_leq,
@@ -47,6 +48,9 @@ class SparsePolynomial(_Frozen):
     polynomial unhashable.
     """
 
+    _fields = ("nvars", "terms")
+    __hash__ = None
+
     def __init__(self, nvars: int, terms: dict | None = None):
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", {} if terms is None else terms)
@@ -58,16 +62,6 @@ class SparsePolynomial(_Frozen):
                 raise BadDimensions(f"monomial {mono} is not of length {self.nvars}")
             if coeff == 0:
                 raise ValueError("zero coefficient stored")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.nvars == other.nvars and self.terms == other.terms
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"{self.__class__.__qualname__}(nvars={self.nvars!r}, terms={self.terms!r})"
 
     @classmethod
     def monomial(cls, exponents, coeff=1):
@@ -149,8 +143,9 @@ def key_of_composition(parts) -> Tableau:
 
 
 def _check_permutation(w, n):
+    _check_bound(n, BadDimensions)
     w = tuple(w)
-    if sorted(w) != list(range(1, len(w) + 1)):
+    if any(type(x) is not int for x in w) or sorted(w) != list(range(1, len(w) + 1)):
         raise BadDimensions(f"{w} is not a permutation of 1..{len(w)}")
     if len(w) > n:
         raise BadDimensions(f"permutation of {len(w)} letters needs n >= {len(w)}")
@@ -158,8 +153,7 @@ def _check_permutation(w, n):
 
 
 def _check_partition(mu, n):
-    if n < 1:
-        raise BadDimensions(f"entry bound must be >= 1, got {n}")
+    _check_bound(n, BadDimensions)
     mu = tuple(p for p in mu if p)
     if not is_shape(mu):
         raise BadDimensions(f"{mu} is not a partition")

@@ -25,7 +25,7 @@ comes from :func:`length_swap`, chained from
 
 from __future__ import annotations
 
-from .tableau import SkewTableau, Tableau, TableauError, _check_skew, _Frozen
+from .tableau import SkewTableau, Tableau, TableauError, _check_skew, _Frozen, _Value
 
 
 class NotAnInsideCorner(TableauError):
@@ -52,24 +52,13 @@ class SlideTrace(_Frozen):
     """Path a hole takes during one slide; cells are (column, row), and
     ``direction`` is "forward" or "reverse"."""
 
+    _fields = ("start", "path", "direction")
+
     def __init__(self, start: tuple[int, int], path: tuple[tuple[int, int], ...],
                  direction: str):
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "path", path)
         object.__setattr__(self, "direction", direction)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.start == other.start and self.path == other.path
-                    and self.direction == other.direction)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.start, self.path, self.direction))
-
-    def __repr__(self):
-        return (f"{self.__class__.__qualname__}(start={self.start!r}, path={self.path!r}, "
-                f"direction={self.direction!r})")
 
     @property
     def end(self) -> tuple[int, int]:
@@ -80,14 +69,15 @@ class SlideTrace(_Frozen):
         return f"{self.direction} {cells}"
 
 
-class LengthSwapStep:
+class LengthSwapStep(_Value):
     """Record of one length swap: index, slide count, pull-down depth,
     and the bottom entries of the two columns before/after.  The skew
     tableaux themselves come from :func:`length_swap`.  Mutable, so
     unhashable."""
 
-    __slots__ = ("j", "x", "d", "bottom_left_before", "bottom_right_before",
-                 "bottom_right_after")
+    __slots__ = _fields = ("j", "x", "d", "bottom_left_before", "bottom_right_before",
+                           "bottom_right_after")
+    __hash__ = None
 
     def __init__(self, j: int, x: int, d: int, bottom_left_before: int,
                  bottom_right_before: int, bottom_right_after: int):
@@ -97,22 +87,6 @@ class LengthSwapStep:
         self.bottom_left_before = bottom_left_before
         self.bottom_right_before = bottom_right_before
         self.bottom_right_after = bottom_right_after
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.j == other.j and self.x == other.x and self.d == other.d
-                    and self.bottom_left_before == other.bottom_left_before
-                    and self.bottom_right_before == other.bottom_right_before
-                    and self.bottom_right_after == other.bottom_right_after)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (f"{self.__class__.__qualname__}(j={self.j!r}, x={self.x!r}, d={self.d!r}, "
-                f"bottom_left_before={self.bottom_left_before!r}, "
-                f"bottom_right_before={self.bottom_right_before!r}, "
-                f"bottom_right_after={self.bottom_right_after!r})")
 
     def format_line(self) -> str:
         return (

@@ -47,20 +47,11 @@ class EwisResult(_Frozen):
     smallest one whose value is >= the previous member.
     """
 
+    _fields = ("indices", "values")
+
     def __init__(self, indices: tuple[int, ...], values: tuple[int, ...]):
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "values", values)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.indices == other.indices and self.values == other.values
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.indices, self.values))
-
-    def __repr__(self):
-        return f"{self.__class__.__qualname__}(indices={self.indices!r}, values={self.values!r})"
 
     @property
     def last(self) -> int:

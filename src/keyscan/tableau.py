@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from itertools import combinations
+from operator import attrgetter
 
 
 class TableauError(ValueError):
@@ -48,11 +49,32 @@ class TableauSyntaxError(TableauError):
         super().__init__(message)
 
 
-class _Frozen:
-    """Base of the immutable value classes: assigning or deleting an
-    attribute raises ``AttributeError``.  Each subclass writes its own
-    ``__init__`` (fields set by ``object.__setattr__``), ``__eq__``,
-    ``__hash__`` and ``__repr__``, field by field."""
+class _Value:
+    """Base of the value classes: equality, hash and repr read the fields in
+    ``_fields``, in order, as a dataclass's do; each subclass writes ``__init__``."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        if cls._fields:
+            cls._get = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._get(self) == self._get(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple([getattr(self, f) for f in self._fields]))
+
+    def __repr__(self):
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class _Frozen(_Value):
+    """A value class whose fields, set by ``object.__setattr__``, are read-only."""
 
     __slots__ = ()
 
@@ -90,6 +112,8 @@ class Tableau(_Frozen):
     raises a :class:`TableauError` subclass naming the first violation.
     """
 
+    _fields = ("columns", "n")
+
     def __init__(self, columns: tuple[tuple[int, ...], ...], n: int):
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "n", n)
@@ -119,17 +143,6 @@ class Tableau(_Frozen):
                     raise DecreasingRow(f"row {r + 1} decreases between columns {i} and {i + 1}")
                 above = e
             left = col
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.columns == other.columns and self.n == other.n
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.columns, self.n))
-
-    def __repr__(self):
-        return f"{self.__class__.__qualname__}(columns={self.columns!r}, n={self.n!r})"
 
     # -- basic structure -------------------------------------------------
 
@@ -188,12 +201,12 @@ class Tableau(_Frozen):
         return format_tableau(self)
 
 
-def _check_bound(n):
-    """Raise :class:`EntryOutOfBound` unless ``n`` is an int >= 1."""
+def _check_bound(n, error=EntryOutOfBound):
+    """Raise ``error`` unless ``n`` is an int >= 1."""
     if type(n) is not int:
-        raise EntryOutOfBound(f"entry bound {n!r} is not an integer")
+        raise error(f"entry bound {n!r} is not an integer")
     if n < 1:
-        raise EntryOutOfBound(f"entry bound must be >= 1, got {n}")
+        raise error(f"entry bound must be >= 1, got {n}")
 
 
 def entrywise_leq(a: Tableau, b: Tableau) -> bool:
@@ -374,6 +387,8 @@ class SkewTableau(_Frozen):
     serves construction and the jdt oracle's in-place length swaps.
     """
 
+    _fields = ("columns",)
+
     def __init__(self, columns: tuple[tuple[int, tuple[int, ...]], ...]):
         object.__setattr__(self, "columns", columns)
         self.__post_init__()
@@ -381,17 +396,6 @@ class SkewTableau(_Frozen):
     def __post_init__(self):
         cols = self.columns
         _check_skew([off for off, _ in cols], [col for _, col in cols], 0, len(cols) - 1)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.columns == other.columns
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.columns,))
-
-    def __repr__(self):
-        return f"{self.__class__.__qualname__}(columns={self.columns!r})"
 
     @classmethod
     def from_tableau(cls, t: Tableau) -> "SkewTableau":

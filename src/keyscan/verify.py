@@ -12,7 +12,7 @@ import os
 import time
 
 from . import jdt, scanning
-from .tableau import SkewTableau, Tableau, TableauError, entrywise_leq, enumerate_tableaux
+from .tableau import SkewTableau, Tableau, TableauError, _Value, entrywise_leq, enumerate_tableaux
 
 
 # A module-level generator: a closure that calls itself is a reference
@@ -35,10 +35,13 @@ def shapes_up_to(max_boxes: int, max_length: int | None = None):
         yield from _partitions(m, min(m, cap0))
 
 
-class VerifyReport:
+class VerifyReport(_Value):
     """Counts and counterexamples of a sweep, merged shape by shape.
     ``counterexamples`` defaults to a new empty list.  Mutable, so
     unhashable."""
+
+    _fields = ("shapes", "tableaux", "keys", "swaps", "counterexamples", "elapsed")
+    __hash__ = None
 
     def __init__(self, shapes: int = 0, tableaux: int = 0, keys: int = 0, swaps: int = 0,
                  counterexamples: list | None = None, elapsed: float = 0.0):
@@ -48,21 +51,6 @@ class VerifyReport:
         self.swaps = swaps
         self.counterexamples = [] if counterexamples is None else counterexamples
         self.elapsed = elapsed
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.shapes == other.shapes and self.tableaux == other.tableaux
-                    and self.keys == other.keys and self.swaps == other.swaps
-                    and self.counterexamples == other.counterexamples
-                    and self.elapsed == other.elapsed)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (f"{self.__class__.__qualname__}(shapes={self.shapes!r}, "
-                f"tableaux={self.tableaux!r}, keys={self.keys!r}, swaps={self.swaps!r}, "
-                f"counterexamples={self.counterexamples!r}, elapsed={self.elapsed!r})")
 
     @property
     def ok(self) -> bool:

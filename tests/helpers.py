@@ -6,7 +6,15 @@ from collections import Counter
 from keyscan import jdt
 from keyscan.demazure import SparsePolynomial
 from keyscan.scanning import InternalInvariantError
-from keyscan.tableau import SkewTableau, Tableau
+from keyscan.tableau import SkewTableau, Tableau, enumerate_tableaux
+from keyscan.verify import shapes_up_to
+
+
+def census(max_boxes, max_entry):
+    """Every tableau of every shape with at most ``max_boxes`` boxes and
+    columns of at most ``max_entry`` boxes, with entries <= ``max_entry``."""
+    for shape in shapes_up_to(max_boxes, max_entry):
+        yield from enumerate_tableaux(shape, max_entry)
 
 
 # The two scans read literally from the paper, one pass after another.

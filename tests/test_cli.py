@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import os
@@ -390,9 +391,34 @@ class TestOutputErrors:
                 pass
 
         monkeypatch.setattr("sys.stdout", ClosedPipe())
-        code = main(["enumerate", "--shape", "1", "--n", "2"])
-        assert code == 1
-        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+        for argv in (["enumerate", "--shape", "1", "--n", "2"], ["--help"]):
+            code = main(argv)
+            assert code == 1
+            assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["right-key"], ["enumerate", "--shape", "1"]])
+    def test_closed_stdout_exit_1(self, capsys, monkeypatch, argv):
+        # Python sets sys.stdout to None when file descriptor 1 is closed
+        # at start; a usage error reports the same.
+        monkeypatch.setattr("sys.stdout", None)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: standard output is closed\n"
+
+    def test_closed_stdin_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", None)
+        code, out, err = run(capsys, monkeypatch, ["right-key"])
+        assert (code, out, err) == (1, "", "error: standard input is closed\n")
+
+    def test_closed_stdout_descriptor_exit_1(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text(EXAMPLE_T_TEXT)
+        proc = subprocess.run(
+            [sys.executable, "-m", "keyscan.cli", "right-key", str(path)],
+            env=keyscan_env(), stderr=subprocess.PIPE, text=True, timeout=120,
+            preexec_fn=functools.partial(os.close, 1),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: standard output is closed\n"
 
     @staticmethod
     def buffered_env():
@@ -419,16 +445,18 @@ class TestOutputErrors:
     def test_full_device_exit_1(self, tmp_path):
         # The output is still buffered when the command ends: the report
         # is one line, with no second failure from the flush at exit.
+        # argparse itself drops a write error, so help is a case of its own.
         path = tmp_path / "t.txt"
         path.write_text(EXAMPLE_T_TEXT)
-        with open("/dev/full", "w") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "keyscan.cli", "right-key", str(path)],
-                env=self.buffered_env(), stdout=full, stderr=subprocess.PIPE, text=True,
-                timeout=120,
-            )
-        assert proc.returncode == 1
-        assert proc.stderr == "error: [Errno 28] No space left on device\n"
+        for argv in (["right-key", str(path)], ["--help"]):
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "keyscan.cli", *argv],
+                    env=self.buffered_env(), stdout=full, stderr=subprocess.PIPE, text=True,
+                    timeout=120,
+                )
+            assert proc.returncode == 1
+            assert proc.stderr == "error: [Errno 28] No space left on device\n"
 
 
 class TestStartup:

@@ -181,6 +181,20 @@ class TestCompositions:
                 compose((), (), n)
         with pytest.raises(BadDimensions, match=r"^\(2\.0, 1\) is not a partition$"):
             demazure_character((2.0, 1), (1, 2), 2)
+        # n is checked before w, and w's entries must be ints.
+        for w, n, message in [
+            ((1,), 2.0, "entry bound 2.0 is not an integer"),
+            ((1, 1), 2.0, "entry bound 2.0 is not an integer"),
+            ((1,), "2", "entry bound '2' is not an integer"),
+            ((1,), 0, "entry bound must be >= 1, got 0"),
+            ((1.0,), 2, r"\(1\.0,\) is not a permutation of 1\.\.1"),
+            ((True,), 2, r"\(True,\) is not a permutation of 1\.\.1"),
+            ((2, True), 2, r"\(2, True\) is not a permutation of 1\.\.2"),
+        ]:
+            for build in (compose, demazure_character, demazure_by_operators):
+                args = (w, (1,), n) if build is compose else ((1,), w, n)
+                with pytest.raises(BadDimensions, match=f"^{message}$"):
+                    build(*args)
 
 
 class TestReducedWord:

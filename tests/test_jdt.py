@@ -26,24 +26,18 @@ from keyscan.tableau import (
     SkewTableau,
     Tableau,
     _check_skew,
-    enumerate_tableaux,
     parse_tableau,
 )
-from keyscan.verify import shapes_up_to
 
 from conftest import EXAMPLE_KEY_TEXT, random_skew
 from helpers import (
     canonical_skew_diagram,
+    census,
     rectify_from_scratch,
     skew_fillings,
     strict_inside_corners,
     swap_chain,
 )
-
-
-def small_census(max_boxes=5, max_entry=4):
-    for shape in shapes_up_to(max_boxes, max_entry):
-        yield from enumerate_tableaux(shape, max_entry)
 
 
 class TestSlides:
@@ -127,7 +121,7 @@ class TestRectify:
     def test_census_swaps_match_from_scratch(self):
         # Every tableau and every skew tableau its swap chains pass through.
         skews = {}
-        for t in small_census(6, 4):
+        for t in census(6, 4):
             skews[SkewTableau.from_tableau(t)] = None
             for i in range(1, t.k):
                 skews.update((u, None) for u in swap_chain(t, i))
@@ -206,7 +200,7 @@ class TestLengthSwap:
                 length_swap(SkewTableau(cols), 1)
 
     def test_two_case_bottom_rule(self):
-        for t in small_census():
+        for t in census(5, 4):
             steps = []
             right_key_oracle(t, collect=steps)
             for st in steps:
@@ -214,7 +208,7 @@ class TestLengthSwap:
                 assert st.bottom_right_after == expected
 
     def test_swaps_preserve_rectification(self):
-        for t in small_census(4, 3):
+        for t in census(4, 3):
             for i in range(1, t.k):
                 for u in swap_chain(t, i):
                     assert is_frank(u)
@@ -255,7 +249,7 @@ def reference_right_key_column(t, i):
 
 class TestInPlaceOracle:
     def test_matches_public_choreography(self):
-        for t in small_census(6, 4):
+        for t in census(6, 4):
             for i in range(1, t.k + 1):
                 steps = []
                 col = right_key_column_oracle(t, i, collect=steps)
@@ -321,7 +315,7 @@ class TestRightKeyOracle:
     def test_first_column_bottom_matches_ewis(self):
         from keyscan.scanning import ewis
 
-        for t in small_census():
+        for t in census(5, 4):
             col = right_key_column_oracle(t, 1)
             assert col[-1] == ewis(t.bottom_entries()).last
 
@@ -336,13 +330,13 @@ class TestRotationDuality:
         )
 
     def test_dual_is_involution(self):
-        for t in small_census():
+        for t in census(5, 4):
             d = reversal_dual(t)
             assert d.shape == t.shape
             assert reversal_dual(d) == t
 
     def test_dual_exchanges_keys(self):
-        for t in small_census(4, 3):
+        for t in census(4, 3):
             d = reversal_dual(t)
             rk_dual = right_key_oracle(d)
             lk = left_key_oracle(t)
@@ -357,7 +351,7 @@ class TestRotationDuality:
 
 class TestLeftKeyOracle:
     def test_key_fixed(self):
-        for t in small_census():
+        for t in census(5, 4):
             if t.is_key():
                 assert left_key_oracle(t) == t
 
@@ -382,7 +376,7 @@ class TestSkewFillings:
     def test_unique_frank_preimage_small(self):
         # for each tableau and column count, exactly one filling of the
         # canonical swapped diagram is frank and rectifies back
-        for t in small_census(4, 3):
+        for t in census(4, 3):
             if t.k < 2:
                 continue
             lengths = (t.shape[1], t.shape[0]) + t.shape[2:]

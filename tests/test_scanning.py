@@ -18,11 +18,10 @@ from keyscan.scanning import (
     scan_trace,
     scanning_tableau,
 )
-from keyscan.tableau import Tableau, entrywise_leq, enumerate_tableaux, parse_tableau
-from keyscan.verify import shapes_up_to
+from keyscan.tableau import Tableau, entrywise_leq, parse_tableau
 
 from conftest import EXAMPLE_KEY_TEXT
-from helpers import passwise_left_column, passwise_scan_column
+from helpers import census, passwise_left_column, passwise_scan_column
 
 
 def passwise_scanning_tableau(t):
@@ -64,11 +63,6 @@ def seeded_columns(lengths, rng):
             col.append(lo + rng.randint(0, 2))
         cols.append(tuple(col))
     return cols
-
-
-def small_census(max_boxes=6, max_entry=4):
-    for shape in shapes_up_to(max_boxes, max_entry):
-        yield from enumerate_tableaux(shape, max_entry)
 
 
 class TestEwis:
@@ -142,18 +136,18 @@ class TestScanningTableau:
         assert scanning_tableau(t) == t
 
     def test_matches_naive_reference(self):
-        for t in small_census():
+        for t in census(6, 4):
             assert scanning_tableau(t) == passwise_scanning_tableau(t)
 
     def test_is_key_and_dominates(self):
-        for t in small_census():
+        for t in census(6, 4):
             s = scanning_tableau(t)
             assert s.is_key()
             assert s.shape == t.shape
             assert entrywise_leq(t, s)
 
     def test_key_is_fixed(self):
-        for t in small_census(5, 4):
+        for t in census(5, 4):
             if t.is_key():
                 assert scanning_tableau(t) == t
 
@@ -162,7 +156,7 @@ class TestScanningTableau:
         assert s.columns[1] == s.columns[2]
 
     def test_matches_independent_oracle(self):
-        for t in small_census(5, 4):
+        for t in census(5, 4):
             assert scanning_tableau(t) == right_key_oracle(t)
 
     def test_trace_shape(self, example_t):
@@ -176,7 +170,7 @@ class TestKernels:
         assert kernel_name() in ("compiled", "pure")
 
     def test_compiled_matches_pure(self, compiled_kernel):
-        for t in small_census():
+        for t in census(6, 4):
             cols = t.columns
             shape = t.shape
             distinct = [s for s in range(t.k) if s + 1 == t.k or shape[s + 1] != shape[s]]
@@ -222,7 +216,7 @@ class TestKernels:
             compiled_kernel.left_columns(bad, range(len(cols)))
 
     def test_both_kernels_match_passwise_on_census(self, kernels):
-        for t in small_census(7, 5):
+        for t in census(7, 5):
             cols, every = t.columns, range(t.k)
             right = [passwise_scan_column(cols, s) for s in every]
             left = [passwise_left_column(cols, e) for e in every]
@@ -296,21 +290,21 @@ class TestLeftKey:
             assert col == tuple(reversed([picks[-1] for picks in passes]))
 
     def test_is_key_and_below(self):
-        for t in small_census():
+        for t in census(6, 4):
             lk = left_key(t)
             assert lk.is_key()
             assert lk.shape == t.shape
             assert entrywise_leq(lk, t)
 
     def test_key_is_fixed(self):
-        for t in small_census(5, 4):
+        for t in census(5, 4):
             if t.is_key():
                 assert left_key(t) == t
 
     def test_matches_independent_oracle(self):
-        for t in small_census(5, 3):
+        for t in census(5, 3):
             assert left_key(t) == left_key_oracle(t)
 
     def test_between_keys(self):
-        for t in small_census(5, 4):
+        for t in census(5, 4):
             assert entrywise_leq(left_key(t), scanning_tableau(t))

@@ -23,11 +23,6 @@ from keyscan.tableau import (
 from keyscan.verify import shapes_up_to
 
 
-def all_tableaux(max_boxes, n):
-    for shape in shapes_up_to(max_boxes, n):
-        yield from enumerate_tableaux(shape, n)
-
-
 def semistandard(cols, n):
     """The definition, read literally."""
     return (

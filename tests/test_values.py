@@ -10,14 +10,17 @@ patches it there.
 
 import copy
 import dataclasses
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import keyscan
 from keyscan.demazure import SparsePolynomial
 from keyscan.jdt import LengthSwapStep, SlideTrace
 from keyscan.scanning import EwisResult
-from keyscan.tableau import SkewTableau, Tableau
+from keyscan.tableau import SkewTableau, Tableau, _Frozen, _Value
 from keyscan.verify import VerifyReport
 
 # (class, field values, dataclass flags, a field to change and its new value)
@@ -38,6 +41,19 @@ CASES = [
 ]
 
 IDS = [cls.__name__ for cls, *_ in CASES]
+
+
+def test_every_value_class_is_a_case():
+    # Import every module of the package, then walk the subclass tree.
+    for module in pkgutil.iter_modules(keyscan.__path__):
+        importlib.import_module(f"keyscan.{module.name}")
+    found, todo = set(), [_Value]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("keyscan."):
+                found.add(sub)
+    assert found - {_Frozen} == {cls for cls, *_ in CASES}
 
 
 def reference(cls, fields, flags):
