@@ -19,8 +19,8 @@ Both kernels run both scans column-major: every pass is carried along
 at once, and each column is visited once for all of them.  This is an
 exact reordering of the paper's pass-by-pass scans, because pass p's
 choice in a column depends only on its own previous member and on what
-passes before p left in that column.  Only this kernel takes an
-optional third argument, ``trace``, that records every pass.
+passes before p left in that column.  The passes themselves, which
+``--explain`` prints, are read pass by pass in ``keyscan.scanning``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class InternalInvariantError(AssertionError):
     """
 
 
-def scan_columns(cols, starts, trace=None):
+def scan_columns(cols, starts):
     """Columns ``starts`` (0-based) of the scanning tableau of ``cols``.
 
     The paper repeatedly takes the earliest weakly increasing
@@ -45,35 +45,29 @@ def scan_columns(cols, starts, trace=None):
     member so far.  Each later column is read bottom-up, and one iterator
     over the passes carries each entry on to the first pass it extends:
     pass p takes it iff it is at least ``last[p]``.  The column ends when
-    its entries or the passes run out.  Recorded members are returned
-    top to bottom.  With ``trace`` a list, appends each pass's members
-    in scan order, for every start in turn.
+    its entries or the passes run out.  The passes' last entries are
+    returned top to bottom.
     """
     out = []
     for start in starts:
         if not 0 <= start < len(cols):
             raise IndexError(f"start column {start} outside 0..{len(cols) - 1}")
         last = list(reversed(cols[start]))
-        members = None if trace is None else [[v] for v in last]
         for col in cols[start + 1:]:
             passes = enumerate(last)
             for v in reversed(col):
                 for p, l in passes:
                     if v >= l:
                         last[p] = v
-                        if members is not None:
-                            members[p].append(v)
                         break
                 else:
                     break
-        if members is not None:
-            trace.extend([tuple(m) for m in members])
         last.reverse()
         out.append(tuple(last))
     return out
 
 
-def left_columns(cols, ends, trace=None):
+def left_columns(cols, ends):
     """Columns ``ends`` (0-based) of the left key of ``cols``.
 
     Pass p (0-based) of column ``end`` starts with entry ``-1 - p`` of
@@ -82,15 +76,13 @@ def left_columns(cols, ends, trace=None):
     those picked by earlier passes; its pick in the first column is an
     entry of the key.  The picks of successive passes strictly decrease,
     and so do their indices in each column, so one bottom-to-top iterator
-    over each column serves every pass.  With ``trace`` a list, appends each
-    pass's picks, right to left, for every end in turn.
+    over each column serves every pass.
     """
     out = []
     for end in ends:
         if not 0 <= end < len(cols):
             raise IndexError(f"end column {end} outside 0..{len(cols) - 1}")
         picks = list(reversed(cols[end]))
-        members = None if trace is None else [[v] for v in picks]
         for col in reversed(cols[:end]):
             entries = reversed(col)
             for p, a in enumerate(picks):
@@ -102,10 +94,6 @@ def left_columns(cols, ends, trace=None):
                         "left scan found no entry <= previous pick; input not semistandard?"
                     )
                 picks[p] = v
-                if members is not None:
-                    members[p].append(v)
-        if members is not None:
-            trace.extend([tuple(m) for m in members])
         picks.reverse()
         out.append(tuple(picks))
     return out

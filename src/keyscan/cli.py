@@ -54,23 +54,38 @@ def _int_list(text):
         raise TableauError(f"not a list of integers: {text!r}")
 
 
+def _err(text):
+    """Write ``text`` to stderr, or drop it when file descriptor 2 was
+    closed at start (Python then sets ``sys.stderr`` to None)."""
+    if sys.stderr is not None:
+        sys.stderr.write(text)
+
+
+def _drop_buffered(stream, original):
+    """Point a standard stream whose write failed at the null device, so
+    that what it still buffers is dropped instead of failing again at exit."""
+    if stream is original is not None:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, stream.fileno())
+        os.close(null)
+
+
 def _check_oracle(key, oracle_key):
     """Report on stderr whether the jeu de taquin key agrees; exit code 2
     and the oracle's key on a disagreement."""
     if oracle_key == key:
-        print("AGREE", file=sys.stderr)
+        _err("AGREE\n")
         return 0
-    print("DISAGREE", file=sys.stderr)
-    sys.stderr.write(format_tableau(oracle_key))
+    _err("DISAGREE\n" + format_tableau(oracle_key))
     return 2
 
 
 def _explain(label, traces):
     """Print each column's passes to stderr, one block per column."""
     for column, passes in enumerate(traces, start=1):
-        print(f"{label} column {column}:", file=sys.stderr)
+        _err(f"{label} column {column}:\n")
         for values in passes:
-            print("  (" + ",".join(map(str, values)) + ")", file=sys.stderr)
+            _err("  (" + ",".join(map(str, values)) + ")\n")
 
 
 def _cmd_right_key(args):
@@ -124,12 +139,11 @@ def _cmd_demazure(args):
         by_ops = demazure.demazure_by_operators(mu, w, n)
         sys.stdout.write(demazure.format_polynomial(by_scan))
         if by_scan == by_oracle == by_ops:
-            print("ENGINES AGREE", file=sys.stderr)
+            _err("ENGINES AGREE\n")
             return 0
-        print("ENGINES DISAGREE", file=sys.stderr)
+        _err("ENGINES DISAGREE\n")
         for name, p in (("oracle", by_oracle), ("recursion", by_ops)):
-            print(f"-- {name}:", file=sys.stderr)
-            sys.stderr.write(demazure.format_polynomial(p))
+            _err(f"-- {name}:\n" + demazure.format_polynomial(p))
         return 2
     if args.engine == "recursion":
         p = demazure.demazure_by_operators(mu, w, n)
@@ -153,7 +167,7 @@ def _cmd_enumerate(args):
         sys.stdout.write(format_tableau(t, header=False))
         sys.stdout.write("\n")
         count += 1
-    print(f"{count} tableaux", file=sys.stderr)
+    _err(f"{count} tableaux\n")
     return 0
 
 
@@ -237,19 +251,17 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # so that a write error is reported here, not at exit
         return code
     except TableauError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, message = 1, f"error: {exc}"
     except OSError as exc:  # unwritable output: a closed pipe, a full disk
-        if sys.stdout is sys.__stdout__ is not None:
-            # Drop what is still buffered, or the flush at exit fails too.
-            null = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(null, sys.stdout.fileno())
-            os.close(null)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        _drop_buffered(sys.stdout, sys.__stdout__)
+        code, message = 1, f"error: {exc}"
     except Exception as exc:  # a bug: one line (repr escapes newlines), exit 2
-        print(f"internal error: {exc!r}", file=sys.stderr)
-        return 2
+        code, message = 2, f"internal error: {exc!r}"
+    try:
+        _err(message + "\n")
+    except OSError:  # stderr is unwritable too: the exit code is the report
+        _drop_buffered(sys.stderr, sys.__stderr__)
+    return code
 
 
 if __name__ == "__main__":

@@ -101,6 +101,8 @@ def pi_operator(p: SparsePolynomial, i: int) -> SparsePolynomial:
     Applied monomial by monomial via the closed geometric-sum form;
     idempotent, and the identity on polynomials symmetric in x_i, x_{i+1}.
     """
+    if type(i) is not int:
+        raise BadDimensions(f"operator index {i!r} is not an integer")
     if not 1 <= i < p.nvars:
         raise BadDimensions(f"operator index {i} outside 1..{p.nvars - 1}")
     terms: dict = {}
@@ -130,6 +132,9 @@ def key_of_composition(parts) -> Tableau:
     """The key tableau whose weight is the given composition: column j
     holds the indices i with parts_i >= j, sorted increasingly."""
     parts = tuple(parts)
+    for p in parts:
+        if type(p) is not int:
+            raise BadDimensions(f"part {p!r} of {parts} is not an integer")
     if not parts or all(p == 0 for p in parts):
         raise EmptyComposition("composition needs at least one positive part")
     if any(p < 0 for p in parts):

@@ -14,11 +14,13 @@ pass at once, column by column, which gives the same answers as the
 paper's pass-by-pass order: a pass's choice in a column depends only on
 its own previous member and on what earlier passes left there.  The
 traces behind ``--explain``, one entry per pass, come from
-:func:`scan_trace` and :func:`left_trace`, which always run the
-pure-Python kernel.
+:func:`scan_trace` and :func:`left_trace`, which read the paper's scans
+one pass after another; the tests check both kernels against them.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 from . import _scan_py
 from ._scan_py import InternalInvariantError
@@ -93,13 +95,27 @@ def scanning_tableau(t: Tableau) -> Tableau:
     return Tableau(tuple(out), t.n)
 
 
+def right_passes(cols, start) -> list[tuple[int, ...]]:
+    """The EWIS passes for column ``start`` (0-based) of the right key:
+    each is the EWIS of the bottom entries of the unmarked boxes in
+    columns ``start..`` and marks them, until column ``start`` is marked."""
+    unmarked = [len(col) for col in cols[start:]]
+    passes = []
+    while unmarked[0]:
+        live = [i for i, u in enumerate(unmarked) if u]
+        e = ewis(cols[start + i][unmarked[i] - 1] for i in live)
+        for j in e.indices:
+            unmarked[live[j - 1]] -= 1
+        passes.append(e.values)
+    return passes
+
+
 def scan_trace(t: Tableau) -> list[list[tuple[int, ...]]]:
     """All EWIS passes: one list per start column, in discovery order,
     so the whole computation can be replayed pass by pass."""
-    traces: list = [[] for _ in range(t.k)]
-    for start, tr in enumerate(traces):
-        _scan_py.scan_columns(t.columns, (start,), tr)
-        if sum(map(len, tr)) != sum(map(len, t.columns[start:])):
+    traces = [right_passes(t.columns, start) for start in range(t.k)]
+    for start, passes in enumerate(traces):
+        if sum(map(len, passes)) != sum(map(len, t.columns[start:])):
             raise InternalInvariantError("scanning left unmarked boxes")
     return traces
 
@@ -116,10 +132,26 @@ def left_key(t: Tableau) -> Tableau:
     return Tableau(tuple(out), t.n)
 
 
+def left_passes(cols, end) -> list[tuple[int, ...]]:
+    """The walks for column ``end`` (0-based) of the left key, each one's
+    picks right to left.  Each walk starts at the lowest unpicked box of
+    column ``end`` and picks in each earlier column the largest entry not
+    above its previous pick, among the boxes above earlier walks' picks."""
+    limits = [len(col) for col in cols[: end + 1]]
+    passes = []
+    for _ in cols[end]:
+        a, picks = cols[end][-1], []
+        for j in range(end, -1, -1):
+            i = limits[j] = bisect_right(cols[j], a, 0, limits[j]) - 1
+            if i < 0:
+                raise InternalInvariantError("left scan found no entry <= previous pick")
+            a = cols[j][i]
+            picks.append(a)
+        passes.append(tuple(picks))
+    return passes
+
+
 def left_trace(t: Tableau) -> list[list[tuple[int, ...]]]:
     """All left-key passes: one list per key column, each pass's picks
     right to left."""
-    traces: list = [[] for _ in range(t.k)]
-    for end, tr in enumerate(traces):
-        _scan_py.left_columns(t.columns, (end,), tr)
-    return traces
+    return [left_passes(t.columns, end) for end in range(t.k)]

@@ -1,11 +1,9 @@
 """Test-only witnesses and reference helpers that the package does not need."""
 
-from bisect import bisect_right
 from collections import Counter
 
 from keyscan import jdt
 from keyscan.demazure import SparsePolynomial
-from keyscan.scanning import InternalInvariantError
 from keyscan.tableau import SkewTableau, Tableau, enumerate_tableaux
 from keyscan.verify import shapes_up_to
 
@@ -15,67 +13,6 @@ def census(max_boxes, max_entry):
     columns of at most ``max_entry`` boxes, with entries <= ``max_entry``."""
     for shape in shapes_up_to(max_boxes, max_entry):
         yield from enumerate_tableaux(shape, max_entry)
-
-
-# The two scans read literally from the paper, one pass after another.
-# Both kernels run them column by column; these are the references.
-
-
-def passwise_scan_column(cols, start, trace=None):
-    """Column ``start`` (0-based) of the scanning tableau of ``cols``.
-
-    Repeatedly takes the earliest weakly increasing subsequence of the
-    bottom entries of the still-alive boxes in columns ``start..``,
-    recording its last member and removing its boxes, until the start
-    column is exhausted.  Recorded members are returned top to bottom.
-    With ``trace`` a list, appends each pass's members in scan order.
-    """
-    alive = [len(cols[i]) for i in range(start, len(cols))]
-    out = []
-    while alive[0] > 0:
-        before = alive[:]
-        last = -1
-        for idx, a in enumerate(alive):
-            if a == 0:
-                continue
-            v = cols[start + idx][a - 1]
-            if v >= last:
-                last = v
-                alive[idx] = a - 1
-        if trace is not None:
-            trace.append(tuple(
-                cols[start + idx][a] for idx, (a, b) in enumerate(zip(alive, before))
-                if a != b
-            ))
-        out.append(last)
-    out.reverse()
-    return tuple(out)
-
-
-def passwise_left_column(cols, end, trace=None):
-    """Column ``end`` (0-based) of the left key of ``cols``: one right-to-
-    left walk per box of that column, each picking in every column the
-    largest entry not above its previous pick and above the earlier
-    walks' picks.  With ``trace`` a list, appends each walk's picks."""
-    cols = cols[: end + 1]
-    limits = [len(col) for col in cols]
-    out = []
-    for _ in range(len(cols[end])):
-        a = cols[end][limits[end] - 1]
-        limits[end] -= 1
-        picks = [a]
-        for j in range(end - 1, -1, -1):
-            idx = bisect_right(cols[j], a, 0, limits[j]) - 1
-            if idx < 0:
-                raise InternalInvariantError("left scan found no entry <= previous pick")
-            a = cols[j][idx]
-            limits[j] = idx
-            picks.append(a)
-        if trace is not None:
-            trace.append(tuple(picks))
-        out.append(a)
-    out.reverse()
-    return tuple(out)
 
 
 def swap_chain(t, i):

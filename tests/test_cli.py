@@ -16,6 +16,62 @@ from keyscan.cli import build_parser, main
 
 from conftest import EXAMPLE_KEY_TEXT, EXAMPLE_T_TEXT
 
+# The whole stderr of --explain on the worked example: one block per key
+# column, one line per pass of the paper's scan.
+RIGHT_EXPLAIN = """\
+start column 1:
+  (8,9,9)
+  (7,7,8)
+  (5,5,6,7)
+  (4,5,6)
+  (2,3,3,4)
+  (1,1)
+start column 2:
+  (7,9,9)
+  (5,6,8)
+  (3,5,7)
+  (1,3,4,6)
+start column 3:
+  (9,9)
+  (6,8)
+  (5,7)
+  (3,4,6)
+start column 4:
+  (8,9)
+  (7)
+  (4,6)
+start column 5:
+  (9)
+  (6)
+"""
+
+LEFT_EXPLAIN = """\
+end column 1:
+  (8)
+  (7)
+  (5)
+  (4)
+  (2)
+  (1)
+end column 2:
+  (7,7)
+  (5,5)
+  (3,2)
+  (1,1)
+end column 3:
+  (9,7,7)
+  (6,5,5)
+  (5,3,2)
+  (3,1,1)
+end column 4:
+  (8,6,5,5)
+  (7,5,3,2)
+  (4,3,1,1)
+end column 5:
+  (9,8,6,5,5)
+  (6,4,3,3,2)
+"""
+
 
 def run(capsys, monkeypatch, argv, stdin=None):
     if stdin is not None:
@@ -71,9 +127,8 @@ class TestRightKey:
             capsys, monkeypatch, ["right-key", "--explain"], stdin=EXAMPLE_T_TEXT
         )
         assert code == 0
-        assert "start column 1:" in err
-        assert "(8,9,9)" in err
-        assert "(" not in out
+        assert out == "n=9\n" + EXAMPLE_KEY_TEXT
+        assert err == RIGHT_EXPLAIN
 
     def test_oracle_agrees(self, capsys, monkeypatch):
         code, _, err = run(
@@ -147,8 +202,7 @@ class TestLeftKey:
         )
         assert code == 0
         assert out == want
-        assert err.startswith("end column 1:\n  (8)\n")
-        assert "end column 5:\n  (9,8,6,5,5)\n  (6,4,3,3,2)\n" in err
+        assert err == LEFT_EXPLAIN
 
     def test_oracle_agrees(self, capsys, monkeypatch):
         code, _, err = run(
@@ -419,6 +473,38 @@ class TestOutputErrors:
         )
         assert proc.returncode == 1
         assert proc.stderr == "error: standard output is closed\n"
+
+    def test_closed_stderr_descriptor_drops_reports(self, tmp_path):
+        # Python sets sys.stderr to None when file descriptor 2 is closed
+        # at start; print(file=None) would write the passes to stdout.
+        path = tmp_path / "t.txt"
+        path.write_text(EXAMPLE_T_TEXT)
+        for argv, code, out in [
+            (["right-key", "--explain", "--oracle", str(path)], 0, "n=9\n" + EXAMPLE_KEY_TEXT),
+            (["right-key", str(tmp_path / "missing.txt")], 1, ""),
+        ]:
+            proc = subprocess.run(
+                [sys.executable, "-m", "keyscan.cli", *argv],
+                env=keyscan_env(), stdout=subprocess.PIPE, text=True, timeout=120,
+                preexec_fn=functools.partial(os.close, 2),
+            )
+            assert (proc.returncode, proc.stdout) == (code, out)
+
+    def test_unwritable_stderr_exit_1(self, capsys, monkeypatch):
+        class ClosedStderr:
+            def write(self, text):
+                raise OSError(9, "Bad file descriptor")
+
+            def flush(self):
+                pass
+
+        for argv, stdin in [
+            (["right-key", "--oracle"], EXAMPLE_T_TEXT),
+            (["left-key", "--explain"], EXAMPLE_T_TEXT),
+            (["right-key"], "2 1\n"),
+        ]:
+            monkeypatch.setattr("sys.stderr", ClosedStderr())
+            assert run(capsys, monkeypatch, argv, stdin=stdin)[0] == 1
 
     @staticmethod
     def buffered_env():

@@ -104,6 +104,11 @@ class TestPiOperator:
             pi_operator(p, 0)
         with pytest.raises(BadDimensions):
             pi_operator(p, 2)
+        for i, message in [(1.0, "operator index 1.0 is not an integer"),
+                           (True, "operator index True is not an integer"),
+                           ("1", "operator index '1' is not an integer")]:
+            with pytest.raises(BadDimensions, match=f"^{message}$"):
+                pi_operator(p, i)
 
     def test_defining_identity(self):
         # (x_i - x_{i+1}) pi_i(p) == x_i p - x_{i+1} s_i(p)
@@ -163,6 +168,12 @@ class TestCompositions:
             key_of_composition((0, 0))
         with pytest.raises(EmptyComposition):
             key_of_composition((1, -1))
+        for parts, message in [((1.5,), r"part 1\.5 of \(1\.5,\) is not an integer"),
+                               (("a",), r"part 'a' of \('a',\) is not an integer"),
+                               ((True, 1), r"part True of \(True, 1\) is not an integer"),
+                               ((2, 0.0), r"part 0\.0 of \(2, 0\.0\) is not an integer")]:
+            with pytest.raises(BadDimensions, match=f"^{message}$"):
+                key_of_composition(parts)
 
     def test_compose(self):
         assert compose((2, 1), (1,), 2) == (0, 1)

@@ -13,7 +13,9 @@ from keyscan.scanning import (
     ewis,
     kernel_name,
     left_key,
+    left_passes,
     left_trace,
+    right_passes,
     scan_column,
     scan_trace,
     scanning_tableau,
@@ -21,7 +23,21 @@ from keyscan.scanning import (
 from keyscan.tableau import Tableau, entrywise_leq, parse_tableau
 
 from conftest import EXAMPLE_KEY_TEXT
-from helpers import census, passwise_left_column, passwise_scan_column
+from helpers import census
+
+
+def key_column(passes):
+    """The key column that the paper's passes give: each pass's last
+    member, bottom up."""
+    return tuple(p[-1] for p in reversed(passes))
+
+
+def passwise_scan_column(cols, start):
+    return key_column(right_passes(cols, start))
+
+
+def passwise_left_column(cols, end):
+    return key_column(left_passes(cols, end))
 
 
 def passwise_scanning_tableau(t):
@@ -124,7 +140,7 @@ class TestScanColumn:
     def test_traced_matches_kernel(self, example_t):
         # A pass's last member is an entry of the column, bottom up.
         for s, passes in enumerate(scan_trace(example_t), start=1):
-            assert scan_column(example_t, s) == tuple(reversed([p[-1] for p in passes]))
+            assert scan_column(example_t, s) == key_column(passes)
 
 
 class TestScanningTableau:
@@ -223,15 +239,6 @@ class TestKernels:
             for kernel in kernels:
                 assert kernel.scan_columns(cols, every) == right
                 assert kernel.left_columns(cols, every) == left
-            for s in every:
-                want, got = [], []
-                passwise_scan_column(cols, s, want)
-                _scan_py.scan_columns(cols, (s,), got)
-                assert got == want
-                want, got = [], []
-                passwise_left_column(cols, s, want)
-                _scan_py.left_columns(cols, (s,), got)
-                assert got == want
 
     def test_large_tableaux_match_passwise(self, kernels):
         """Many columns and many rows, where runs of passes decline an
@@ -247,22 +254,25 @@ class TestKernels:
         cols = cases[-1][0][:10] + [()] + cases[-1][0][10:]
         cases.append((cols, range(11)))
         with pytest.raises(InternalInvariantError):
-            passwise_left_column(cols, 11)
+            left_passes(cols, 11)
         for kernel in kernels:
             with pytest.raises(InternalInvariantError):
                 kernel.left_columns(cols, (11,))
         for cols, ends in cases:
             every = range(len(cols))
-            want_right, want_left = [], []
-            right = [passwise_scan_column(cols, s, want_right) for s in every]
-            left = [passwise_left_column(cols, e, want_left) for e in ends]
+            right = [passwise_scan_column(cols, s) for s in every]
+            left = [passwise_left_column(cols, e) for e in ends]
             for kernel in kernels:
                 assert kernel.scan_columns(cols, every) == right
                 assert kernel.left_columns(cols, ends) == left
-            got_right, got_left = [], []
-            _scan_py.scan_columns(cols, every, got_right)
-            _scan_py.left_columns(cols, ends, got_left)
-            assert (got_right, got_left) == (want_right, want_left)
+
+    def test_one_contract(self, kernels):
+        # Key columns only: no kernel takes a third argument.
+        for kernel in kernels:
+            with pytest.raises(TypeError):
+                kernel.scan_columns([(1,)], (0,), [])
+            with pytest.raises(TypeError):
+                kernel.left_columns([(1,)], (0,), [])
 
     def test_bad_input_raises(self, kernels):
         for kernel in kernels:
@@ -287,7 +297,7 @@ class TestLeftKey:
         assert traces[4] == [(9, 8, 6, 5, 5), (6, 4, 3, 3, 2)]
         assert [len(tr) for tr in traces] == list(example_t.shape)
         for col, passes in zip(left_key(example_t).columns, traces):
-            assert col == tuple(reversed([picks[-1] for picks in passes]))
+            assert col == key_column(passes)
 
     def test_is_key_and_below(self):
         for t in census(6, 4):
