@@ -54,11 +54,27 @@ def _int_list(text):
         raise TableauError(f"not a list of integers: {text!r}")
 
 
+class _StderrError(OSError):
+    """A write to stderr failed; what stdout holds is still good."""
+
+
 def _err(text):
     """Write ``text`` to stderr, or drop it when file descriptor 2 was
     closed at start (Python then sets ``sys.stderr`` to None)."""
     if sys.stderr is not None:
-        sys.stderr.write(text)
+        try:
+            sys.stderr.write(text)
+        except OSError as exc:
+            raise _StderrError(*exc.args) from exc
+
+
+def _flushed(stream):
+    """Flush ``stream``; False when that fails."""
+    try:
+        stream.flush()
+    except OSError:
+        return False
+    return True
 
 
 def _drop_buffered(stream, original):
@@ -253,7 +269,9 @@ def main(argv=None) -> int:
     except TableauError as exc:
         code, message = 1, f"error: {exc}"
     except OSError as exc:  # unwritable output: a closed pipe, a full disk
-        _drop_buffered(sys.stdout, sys.__stdout__)
+        # Stdout keeps a result already written unless its own write failed.
+        if not isinstance(exc, _StderrError) or not _flushed(sys.stdout):
+            _drop_buffered(sys.stdout, sys.__stdout__)
         code, message = 1, f"error: {exc}"
     except Exception as exc:  # a bug: one line (repr escapes newlines), exit 2
         code, message = 2, f"internal error: {exc!r}"

@@ -4,7 +4,8 @@ Everything here exists to verify the scanning method against the classical
 frank-tableau description of keys: the i-th right-key column is the
 rightmost column of a frank skew tableau (rightmost length = i-th column
 length) rectifying to T, obtained by a choreography of column pull-downs
-and reverse slides; the left key dually uses leftmost columns.
+and reverse slides.  The left key is the complement of the right key of
+the reversal dual: K-(T) = complement_key(K+(reversal_dual(T))).
 
 The public slides work on a ``{(column, row): entry}`` cell dict and are
 the from-scratch reference.  Tie-breaking when the two candidate
@@ -434,14 +435,16 @@ def reversal_dual(t: Tableau) -> Tableau:
     return rectify(rotate_180(t), n=t.n)
 
 
+def complement_key(key: Tableau) -> Tableau:
+    """Replace each entry ``e`` of ``key`` by ``n+1-e`` and reverse each
+    column, so that the columns increase again."""
+    n = key.n
+    return Tableau(tuple([tuple([n + 1 - e for e in reversed(col)]) for col in key.columns]), n)
+
+
 def left_key_oracle(t: Tableau) -> Tableau:
-    """The left key of ``t``: complement duality applied to the right-key
-    oracle of the reversal dual of ``t``."""
+    """The left key of ``t``: the complement of the right key of the
+    reversal dual of ``t``."""
     if t.k == 0:
         return t
-    dual = reversal_dual(t)
-    cols = tuple(
-        tuple(sorted(t.n + 1 - e for e in right_key_column_oracle(dual, i)))
-        for i in range(1, t.k + 1)
-    )
-    return Tableau(cols, t.n)
+    return complement_key(right_key_oracle(reversal_dual(t)))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -263,13 +264,14 @@ class TestVerify:
             "from keyscan.verify import run_sweep\n"
             "def counts(r):\n"
             "    return r.shapes, r.tableaux, r.keys, r.swaps, r.counterexamples\n"
-            "serial = counts(run_sweep(4, 3, jobs=1))\n"
+            "bounds = [(4, 3), (5, 4)]\n"
+            "serial = [counts(run_sweep(*b, jobs=1)) for b in bounds]\n"
             "assert 'concurrent.futures' not in sys.modules\n"
-            "assert counts(run_sweep(4, 3, jobs=2)) == serial\n"
-            "print(serial)\n"
+            "assert [counts(run_sweep(*b, jobs=2)) for b in bounds] == serial\n"
+            "print(*serial, sep='\\n')\n"
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "(10, 70, 34, 188, [])\n"
+        assert proc.stdout == "(10, 70, 34, 188, [])\n(17, 440, 125, 1846, [])\n"
 
     def test_jobs_capped(self, capsys, monkeypatch):
         # A stand-in pool that records its size and maps in this process,
@@ -343,6 +345,52 @@ class TestVerify:
         failures, _ = verify.check_tableau(t, check_swaps=True)
         assert any("rectification changed at swap j=" in f for f in failures)
         assert not any("frankness lost" in f for f in failures)
+
+    def test_oracle_runs_once_per_tableau(self, monkeypatch):
+        # Each tableau's right oracle key serves its own check and the
+        # left-key check of its reversal dual; one dict per shape holds it
+        # between the two, and is empty when the shape is done.
+        calls = Counter()
+        right_key_oracle = jdt.right_key_oracle
+        check_tableau = verify.check_tableau
+        memos = {}
+
+        def counted(x, *args, **kwargs):
+            calls[x] += 1
+            return right_key_oracle(x, *args, **kwargs)
+
+        def check(t, check_swaps, memo):
+            memos[id(memo)] = memo
+            return check_tableau(t, check_swaps, memo)
+
+        monkeypatch.setattr(jdt, "right_key_oracle", counted)
+        monkeypatch.setattr(verify, "check_tableau", check)
+        report = verify.run_sweep(6, 4)
+        assert (report.shapes, report.tableaux, report.ok) == (26, 1000, True)
+        assert len(calls) == report.tableaux and set(calls.values()) == {1}
+        assert len(memos) == report.shapes
+        assert not any(memos.values())
+
+    def test_wrong_oracle_key_fails_both_checks(self, monkeypatch):
+        # A wrong but valid right key for t0, a tableau that is not a key:
+        # t0 itself, whose complement is a tableau too.  The right-key check
+        # of t0 and the left-key check of its dual both read it.
+        t0 = Tableau(((1, 3), (2,)), 3)
+        dual = jdt.reversal_dual(t0)
+        assert not t0.is_key() and dual != t0
+        right_key_oracle = jdt.right_key_oracle
+
+        def wrong(x, *args, **kwargs):
+            r = right_key_oracle(x, *args, **kwargs)
+            return x if x == t0 else r
+
+        monkeypatch.setattr(jdt, "right_key_oracle", wrong)
+        failures = verify.run_sweep(3, 3).counterexamples
+        assert len(failures) == 2
+        assert sorted((f.split("\n")[0], f.split("on tableau:\n")[1]) for f in failures) == [
+            ("scanning left key differs from jdt left key:", str(dual)),
+            ("scanning tableau differs from jdt right key:", str(t0)),
+        ]
 
 
 class TestDemazure:
@@ -543,6 +591,22 @@ class TestOutputErrors:
                 )
             assert proc.returncode == 1
             assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("stdout_full", [False, True])
+    def test_full_stderr_keeps_stdout(self, tmp_path, stdout_full):
+        # The key is still buffered when the oracle's report to stderr
+        # fails: it reaches a working stdout, and a full one exits 1 too.
+        path = tmp_path / "t.txt"
+        path.write_text(EXAMPLE_T_TEXT)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "keyscan.cli", "right-key", "--oracle", str(path)],
+                env=self.buffered_env(), stdout=full if stdout_full else subprocess.PIPE,
+                stderr=full, text=True, timeout=120,
+            )
+        want = None if stdout_full else "n=9\n" + EXAMPLE_KEY_TEXT
+        assert (proc.returncode, proc.stdout) == (1, want)
 
 
 class TestStartup:

@@ -8,6 +8,7 @@ from keyscan.jdt import (
     NotAnInsideCorner,
     NotAnOutsideCorner,
     NotASkewShape,
+    complement_key,
     forward_slide,
     is_frank,
     left_key_oracle,
@@ -336,7 +337,7 @@ class TestRotationDuality:
             assert reversal_dual(d) == t
 
     def test_dual_exchanges_keys(self):
-        for t in census(4, 3):
+        for t in census(5, 4):
             d = reversal_dual(t)
             rk_dual = right_key_oracle(d)
             lk = left_key_oracle(t)
@@ -346,7 +347,14 @@ class TestRotationDuality:
                 ),
                 t.n,
             )
-            assert flipped == lk
+            assert flipped == lk == complement_key(rk_dual)
+
+    def test_complement_key_is_involution_on_keys(self):
+        keys = [t for t in census(5, 4) if t.is_key()]
+        assert len(keys) == 125
+        for key in keys:
+            assert complement_key(complement_key(key)) == key
+        assert {complement_key(key) for key in keys} == set(keys)
 
 
 class TestLeftKeyOracle:
