@@ -14,17 +14,20 @@ forward slides, above on reverse slides); moving the row neighbor would
 put equal entries in the same column.
 
 The oracle validates at its boundary: public functions take and return
-validated tableaux.  Inside, rectification and the right-key
-choreography run in place on column offsets and one entry list per
-column, sharing no code with the public slides; the choreography
-re-checks legality on the columns each pull-down or reverse slide changed,
-with the same checker as :class:`SkewTableau`.
+validated tableaux.  Inside, it shares no code with the public slides.
+Rectification column-inserts the column reading word, which gives the
+same tableau as any sequence of forward slides.  The right-key
+choreography runs in place on column offsets and one entry list per
+column, and re-checks legality on the columns each pull-down or reverse
+slide changed, with the same checker as :class:`SkewTableau`.
 Its swap records carry scalars only: the skew tableau after each swap
 comes from :func:`length_swap`, chained from
 ``SkewTableau.from_tableau(t)``.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from .tableau import SkewTableau, Tableau, TableauError, _check_skew, _Frozen, _Value
 
@@ -180,88 +183,47 @@ def reverse_slide(u: SkewTableau, corner) -> tuple[SkewTableau, SlideTrace]:
 # -- rectification ---------------------------------------------------------
 
 
-def _skew_columns(u: SkewTableau):
-    """The tops and entry lists of the columns of ``u``, plus one empty
-    column at the right.  An empty column's top is the bottom of the
-    nearest filled column to its right (0 if none); then column c has a
-    strict inside corner, the cell above its top, exactly when its top
-    is below that of column c + 1."""
-    tops, cols = [0], [[]]
-    top = bottom = 0
-    for c in range(len(u.columns) - 1, -1, -1):
-        off, col = u.columns[c]
-        if col:
-            if off < top or off + len(col) < bottom:
-                raise NotASkewShape(f"column {c + 1} breaks the skew shape of the filled cells")
-            top, bottom = off, off + len(col)
-        else:
-            top = bottom
-        tops.append(top)
-        cols.append(list(col))
-    tops.reverse()
-    cols.reverse()
-    return tops, cols
-
-
 def rectify(u: SkewTableau, n=None) -> Tableau:
-    """Rectification: forward-slide inside corners until none remain.
+    """Rectification: the straight tableau that forward slides reach from
+    ``u``, whatever inside corner each slide starts from.
 
     The filled cells of ``u`` must form a skew shape: from left to right
     the tops and the bottoms of the filled columns weakly decrease, and an
     empty column between two filled ones needs the top of the left one at
     or below the bottom of the right one.  Any other diagram raises
-    :class:`NotASkewShape`.  Each slide starts from the leftmost corner;
-    the result is independent of the choice.
+    :class:`NotASkewShape`.
 
-    The slides run in place on column lists, the corners are read off
-    the column tops, and the straight result is validated once, as a
-    Tableau.
+    The rectification of a skew tableau is the insertion tableau of its
+    column reading word (Schützenberger; Fulton, *Young Tableaux*, ch. 2-3).
+    Column insertion builds it from the word's last letter on, so the
+    entries are read from the columns right to left, each top to bottom.
+    An entry x goes into the first column with an entry >= x, bumping the
+    smallest such entry into the next column, or onto the end of the first
+    column without one.  The public forward slides remain the reference the
+    tests hold this to.  The result is validated once, as a Tableau.
     """
-    tops, cols = _skew_columns(u)
-    k = len(cols) - 1
-    c = 0
-    while True:
-        while c < k and tops[c] <= tops[c + 1]:
-            c += 1
-        if c == k:
-            break
-        first = c
-        tops[c] -= 1
-        col = cols[c]
-        col.insert(0, None)  # the hole, at index h of column c
-        h = 0
-        while True:
-            right_col = cols[c + 1]
-            i = h + tops[c] - tops[c + 1]  # the index of the right neighbor
-            last, m = len(col) - 1, len(right_col)
-            # The hole moves down while the entry below is no larger than
-            # the one to its right, then right if there is one.
-            while h < last and not (0 <= i < m and right_col[i] < col[h + 1]):
-                col[h] = col[h + 1]
-                h += 1
-                i += 1
-            if not 0 <= i < m:
-                break
-            col[h] = right_col[i]
-            c, col, h = c + 1, right_col, i
-        # The hole stops at the bottom of column c.  Only the tops of the
-        # start column, of column c if it empties and of the empty columns
-        # just left of column c change.
-        col.pop()
+    cols: list[list[int]] = []
+    top = bottom = 0  # of the nearest filled column to the right
+    for c in range(len(u.columns) - 1, -1, -1):
+        off, col = u.columns[c]
         if not col:
-            tops[c] = tops[c + 1] + len(cols[c + 1])
-        a = c
-        while a and not cols[a - 1]:
-            a -= 1
-            tops[a] = tops[c] + len(col)
-        # The first corner had none left of it, and only the tops from
-        # column min(a, first) on changed: resume the search next to it.
-        a = a if a < first else first
-        c = a - 1 if a else 0
-    filled = [col for col in cols if col]
+            top = bottom
+            continue
+        if off < top or off + len(col) < bottom:
+            raise NotASkewShape(f"column {c + 1} breaks the skew shape of the filled cells")
+        top, bottom = off, off + len(col)
+        for x in col:
+            for column in cols:
+                i = bisect_left(column, x)
+                if i == len(column):
+                    column.append(x)
+                    break
+                column[i], x = x, column[i]
+            else:
+                cols.append([x])
     if n is None:
-        n = max([col[-1] for col in filled], default=1)
-    return Tableau(tuple([tuple(col) for col in filled]), n)
+        n = max([col[-1] for col in cols], default=1)
+    return Tableau(tuple([tuple(col) for col in cols]), n)
 
 
 def is_frank(u: SkewTableau, rectified: Tableau | None = None) -> bool:

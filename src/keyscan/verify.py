@@ -124,9 +124,15 @@ def check_tableau(t: Tableau, check_swaps: bool = False,
             fail(f"equal-length columns {i} and {i + 1} of the right key differ")
 
     lk = scanning.left_key(t)
-    lko = jdt.complement_key(_right_key(jdt.reversal_dual(t), memo)[0])
-    if lk != lko:
-        fail(f"scanning left key differs from jdt left key:\n{lk}\nvs\n{lko}")
+    rk_dual = _right_key(jdt.reversal_dual(t), memo)[0]
+    try:
+        lko = jdt.complement_key(rk_dual)
+    except TableauError as exc:  # rk_dual is not a key
+        fail(f"complement of the jdt right key of the reversal dual is not a tableau "
+             f"({exc}):\n{rk_dual}")
+    else:
+        if lk != lko:
+            fail(f"scanning left key differs from jdt left key:\n{lk}\nvs\n{lko}")
     if not lk.is_key():
         fail("left key is not a key")
     if not entrywise_leq(lk, t):

@@ -1,5 +1,6 @@
 """Test-only witnesses and reference helpers that the package does not need."""
 
+import random
 from collections import Counter
 
 from keyscan import jdt
@@ -13,6 +14,37 @@ def census(max_boxes, max_entry):
     columns of at most ``max_entry`` boxes, with entries <= ``max_entry``."""
     for shape in shapes_up_to(max_boxes, max_entry):
         yield from enumerate_tableaux(shape, max_entry)
+
+
+def large_tableaux(count=200, seed=23):
+    """``count`` seeded straight tableaux of 20 to 100 boxes, in turn wide
+    (10 to 20 columns of at most 6 boxes), tall (2 to 6 columns of at most
+    16 boxes, the first at least 8) and in between.  Column lengths lie
+    between half the first one and the first one."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        kind = len(out) % 3
+        if kind == 0:
+            k, height = rng.randint(10, 20), rng.randint(2, 6)
+        elif kind == 1:
+            k, height = rng.randint(2, 6), rng.randint(8, 16)
+        else:
+            k, height = rng.randint(3, 10), rng.randint(3, 10)
+        lengths = [height] + [rng.randint(max(1, height // 2), height) for _ in range(k - 1)]
+        lengths.sort(reverse=True)
+        if not 20 <= sum(lengths) <= 100:
+            continue
+        cols = []
+        for c, length in enumerate(lengths):
+            col = []
+            for r in range(length):
+                above = col[-1] + 1 if col else 1
+                left = cols[c - 1][r] if c else 1
+                col.append(max(above, left) + rng.randint(0, 2))
+            cols.append(tuple(col))
+        out.append(Tableau(tuple(cols), max(col[-1] for col in cols) + rng.randint(0, 2)))
+    return out
 
 
 def swap_chain(t, i):

@@ -346,6 +346,28 @@ class TestVerify:
         assert any("rectification changed at swap j=" in f for f in failures)
         assert not any("frankness lost" in f for f in failures)
 
+    def test_non_key_oracle_answer_is_a_counterexample(self, capsys, monkeypatch):
+        # An oracle right key that is not a key, t0, for every tableau of
+        # its shape: its complement (3),(2) has a decreasing row.  That is a
+        # counterexample on the tableau checked, not bad input.
+        t0 = Tableau(((1,), (2,)), 3)
+        right_key_oracle = jdt.right_key_oracle
+
+        def wrong(x, *args, **kwargs):
+            r = right_key_oracle(x, *args, **kwargs)
+            return t0 if x.shape == t0.shape else r
+
+        monkeypatch.setattr(jdt, "right_key_oracle", wrong)
+        failures = verify.run_sweep(2, 3).counterexamples
+        assert any(
+            f.startswith("complement of the jdt right key of the reversal dual is not a tableau "
+                         "(row 1 decreases between columns 1 and 2)")
+            for f in failures
+        )
+        code, out, err = run(capsys, monkeypatch, ["verify", "--max-boxes", "2", "--max-entry", "3"])
+        assert code == 3 and err == ""
+        assert f"{len(failures)} counterexamples\n" in out
+
     def test_oracle_runs_once_per_tableau(self, monkeypatch):
         # Each tableau's right oracle key serves its own check and the
         # left-key check of its reversal dual; one dict per shape holds it

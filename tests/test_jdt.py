@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -34,6 +35,7 @@ from conftest import EXAMPLE_KEY_TEXT, random_skew
 from helpers import (
     canonical_skew_diagram,
     census,
+    large_tableaux,
     rectify_from_scratch,
     skew_fillings,
     strict_inside_corners,
@@ -142,6 +144,11 @@ class TestRectify:
             cols.insert(p, (0, ()))
             skews.append(SkewTableau(tuple(cols)))
         self.assert_matches_from_scratch(skews)
+
+    def test_large_duals_match_from_scratch(self):
+        # Rotated tableaux of 20 to 100 boxes: wide ones carry bumped
+        # entries through many columns, tall ones insert into long columns.
+        self.assert_matches_from_scratch([rotate_180(t) for t in large_tableaux()])
 
     def test_non_skew_diagram_rejected(self):
         # Column 2 starts below column 1; in the second diagram the empty
@@ -331,7 +338,7 @@ class TestRotationDuality:
         )
 
     def test_dual_is_involution(self):
-        for t in census(5, 4):
+        for t in itertools.chain(census(5, 4), large_tableaux()):
             d = reversal_dual(t)
             assert d.shape == t.shape
             assert reversal_dual(d) == t
