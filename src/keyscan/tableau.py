@@ -12,7 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, zip_longest
 from operator import attrgetter
 
 
@@ -156,10 +156,7 @@ class Tableau(_Frozen):
 
     def rows(self) -> list[list[int]]:
         """The filling as top-left-justified rows."""
-        height = len(self.columns[0]) if self.columns else 0
-        return [
-            [c[r] for c in self.columns if r < len(c)] for r in range(height)
-        ]
+        return list(map(list, _transpose(self.columns)))
 
     def bottom_entries(self) -> tuple[int, ...]:
         return tuple(c[-1] for c in self.columns)
@@ -172,13 +169,8 @@ class Tableau(_Frozen):
         if not is_shape(widths):
             raise RaggedShape(f"row lengths {widths} are not top-left justified")
         if n is None:
-            n = max((e for r in rows for e in r), default=1)
-        ncols = widths[0] if widths else 0
-        columns = tuple(
-            tuple([rows[r][i] for r in range(len(rows)) if i < widths[r]])
-            for i in range(ncols)
-        )
-        return cls(columns, n)
+            n = max(map(max, rows), default=1)
+        return cls(tuple(_transpose(rows)), n)
 
     # -- derived quantities ----------------------------------------------
 
@@ -201,6 +193,21 @@ class Tableau(_Frozen):
         return format_tableau(self)
 
 
+def _transpose(lines) -> list[tuple]:
+    """The columns of a top-left-justified grid given as its rows, or its
+    rows given as its columns: the lines' lengths must weakly decrease.
+    Cut ``i`` of ``zip_longest`` is padded past the lines longer than
+    ``i``, so it is cut back to their number."""
+    widths = list(map(len, lines))
+    height = len(lines)
+    cuts = []
+    for i, cut in enumerate(zip_longest(*lines)):
+        while widths[height - 1] <= i:
+            height -= 1
+        cuts.append(cut[:height])
+    return cuts
+
+
 def _check_bound(n, error=EntryOutOfBound):
     """Raise ``error`` unless ``n`` is an int >= 1."""
     if type(n) is not int:
@@ -219,10 +226,6 @@ def entrywise_leq(a: Tableau, b: Tableau) -> bool:
 
 
 # -- text format ----------------------------------------------------------
-#
-# One row per line, ASCII decimal entries separated by spaces, rows top-left
-# justified.  An optional first line "n=<bound>" fixes the entry bound;
-# otherwise the maximum entry present is used.  A blank line terminates.
 
 
 def _decimal(tok: str) -> int:
@@ -233,8 +236,37 @@ def _decimal(tok: str) -> int:
     return int(tok)
 
 
+def _row(tokens, lineno) -> list[int]:
+    """The entries of a row line, read token by token so that the first
+    token that is not a positive ASCII decimal is named."""
+    row = []
+    for colno, tok in enumerate(tokens, start=1):
+        try:
+            e = _decimal(tok)
+        except ValueError:
+            raise TableauSyntaxError(f"not an integer: {tok!r}", lineno, colno)
+        if e < 1:
+            raise TableauSyntaxError("entries must be positive", lineno, colno)
+        row.append(e)
+    return row
+
+
 def parse_tableau(text: str) -> Tableau:
-    lines = text.splitlines()
+    """Read a tableau from text, one row per line, top-left justified.
+
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r``; every other whitespace
+    character separates tokens.  Each token of a row is a positive ASCII
+    decimal integer.  An optional line ``n=<bound>`` before the first row
+    fixes the entry bound; without it the bound is the largest entry.
+    Blank lines before the first row or header are skipped; a blank line
+    after them ends the tableau, and the rest of the text is ignored.
+    Errors are :class:`TableauSyntaxError`, naming the line and, for an
+    entry, the column of the first bad token, or a :class:`TableauError`
+    from validating the rows.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:  # the text ended a line, as splitlines() reads it
+        lines.pop()
     n = None
     rows = []
     lineno = 0
@@ -252,16 +284,15 @@ def parse_tableau(text: str) -> Tableau:
             if n < 1:
                 raise TableauSyntaxError("entry bound must be positive", lineno)
             continue
-        row = []
-        to_int = int if stripped.isascii() and "_" not in stripped else _decimal
-        for colno, tok in enumerate(stripped.split(), start=1):
+        tokens = stripped.split()
+        row = None
+        if stripped.isascii() and "_" not in stripped:
             try:
-                e = to_int(tok)
+                row = list(map(int, tokens))
             except ValueError:
-                raise TableauSyntaxError(f"not an integer: {tok!r}", lineno, colno)
-            if e < 1:
-                raise TableauSyntaxError("entries must be positive", lineno, colno)
-            row.append(e)
+                pass
+        if row is None or min(row) < 1:
+            row = _row(tokens, lineno)
         rows.append(row)
     if not rows:
         if n is None:
@@ -271,10 +302,12 @@ def parse_tableau(text: str) -> Tableau:
 
 
 def format_tableau(t: Tableau, header: bool = True) -> str:
-    lines = []
+    """The text of ``t`` that :func:`parse_tableau` reads back: the header
+    ``n=<bound>`` unless ``header`` is false, then one line per row."""
+    text = {e: str(e) for e in set().union(*t.columns)}  # a key repeats few values
+    lines = [" ".join(map(text.__getitem__, row)) for row in _transpose(t.columns)]
     if header:
-        lines.append(f"n={t.n}")
-    lines.extend(" ".join(str(e) for e in row) for row in t.rows())
+        lines.insert(0, f"n={t.n}")
     return "\n".join(lines) + "\n"
 
 

@@ -102,77 +102,85 @@ def check_tableau(t: Tableau, check_swaps: bool = False,
     reversal dual.  ``memo``, shared by the checks of one shape, keeps each
     right oracle key and its swap records from its first use to its second,
     so each tableau's length-swap chains run once per sweep; every
-    comparison is still made.  Without ``memo`` both keys are computed."""
+    comparison is still made.  Without ``memo`` both keys are computed.
+
+    ``t`` is a tableau, so every result built from it must validate: a
+    :class:`TableauError` from the oracle or a kernel is a failure on
+    ``t``, not bad input."""
     if memo is None:
         memo = {}
     failures = []
-    r, steps = _right_key(t, memo)
+    steps = ()
 
     def fail(what):
         failures.append(f"{what}\non tableau:\n{t}")
 
-    s = scanning.scanning_tableau(t)
-    if s != r:
-        fail(f"scanning tableau differs from jdt right key:\n{s}\nvs\n{r}")
-    if not s.is_key():
-        fail("scanning tableau is not a key")
-    if not entrywise_leq(t, s):
-        fail("tableau not entrywise <= its right key")
-    shape = t.shape
-    for i in range(1, t.k):
-        if shape[i] == shape[i - 1] and s.columns[i] != s.columns[i - 1]:
-            fail(f"equal-length columns {i} and {i + 1} of the right key differ")
-
-    lk = scanning.left_key(t)
-    rk_dual = _right_key(jdt.reversal_dual(t), memo)[0]
     try:
-        lko = jdt.complement_key(rk_dual)
-    except TableauError as exc:  # rk_dual is not a key
-        fail(f"complement of the jdt right key of the reversal dual is not a tableau "
-             f"({exc}):\n{rk_dual}")
-    else:
-        if lk != lko:
-            fail(f"scanning left key differs from jdt left key:\n{lk}\nvs\n{lko}")
-    if not lk.is_key():
-        fail("left key is not a key")
-    if not entrywise_leq(lk, t):
-        fail("left key not entrywise <= tableau")
-
-    if t.is_key():
-        if s != t:
-            fail("right key of a key is not the key itself")
-        if lk != t:
-            fail("left key of a key is not the key itself")
-
-    if t.k:
-        e = scanning.ewis(t.bottom_entries())
-        if s.columns[0][-1] != e.last:
-            fail("bottom of first right-key column is not the last EWIS member")
-
-    for st in steps:
-        expected = (
-            st.bottom_right_before
-            if st.bottom_right_before >= st.bottom_left_before
-            else st.bottom_left_before
-        )
-        if st.bottom_right_after != expected:
-            fail(f"two-case bottom-entry rule violated at {st.format_line()}")
-
-    if check_swaps:
-        # The oracle records swaps i..k-1 for each column i in turn; walk
-        # the same chains through the public length swap, rectifying each
-        # skew tableau once.
-        records = iter(steps)
+        r, steps = _right_key(t, memo)
+        s = scanning.scanning_tableau(t)
+        if s != r:
+            fail(f"scanning tableau differs from jdt right key:\n{s}\nvs\n{r}")
+        if not s.is_key():
+            fail("scanning tableau is not a key")
+        if not entrywise_leq(t, s):
+            fail("tableau not entrywise <= its right key")
+        shape = t.shape
         for i in range(1, t.k):
-            u = SkewTableau.from_tableau(t)
-            for j in range(i, t.k):
-                u = jdt.length_swap(u, j)
-                st = next(records)
-                rect = jdt.rectify(u, n=t.n)
-                if not jdt.is_frank(u, rect):
-                    fail(f"frankness lost at {st.format_line()}")
-                elif rect != t:
-                    fail(f"rectification changed at {st.format_line()}")
+            if shape[i] == shape[i - 1] and s.columns[i] != s.columns[i - 1]:
+                fail(f"equal-length columns {i} and {i + 1} of the right key differ")
+
+        lk = scanning.left_key(t)
+        rk_dual = _right_key(jdt.reversal_dual(t), memo)[0]
+        try:
+            lko = jdt.complement_key(rk_dual)
+        except TableauError as exc:  # rk_dual is not a key
+            fail(f"complement of the jdt right key of the reversal dual is not a tableau "
+                 f"({exc}):\n{rk_dual}")
+        else:
+            if lk != lko:
+                fail(f"scanning left key differs from jdt left key:\n{lk}\nvs\n{lko}")
+        if not lk.is_key():
+            fail("left key is not a key")
+        if not entrywise_leq(lk, t):
+            fail("left key not entrywise <= tableau")
+
+        if t.is_key():
+            if s != t:
+                fail("right key of a key is not the key itself")
+            if lk != t:
+                fail("left key of a key is not the key itself")
+
+        if t.k:
+            e = scanning.ewis(t.bottom_entries())
+            if s.columns[0][-1] != e.last:
+                fail("bottom of first right-key column is not the last EWIS member")
+
+        for st in steps:
+            expected = (
+                st.bottom_right_before
+                if st.bottom_right_before >= st.bottom_left_before
+                else st.bottom_left_before
+            )
+            if st.bottom_right_after != expected:
+                fail(f"two-case bottom-entry rule violated at {st.format_line()}")
+
+        if check_swaps:
+            # The oracle records swaps i..k-1 for each column i in turn; walk
+            # the same chains through the public length swap, rectifying each
+            # skew tableau once.
+            records = iter(steps)
+            for i in range(1, t.k):
+                u = SkewTableau.from_tableau(t)
+                for j in range(i, t.k):
+                    u = jdt.length_swap(u, j)
+                    st = next(records)
+                    rect = jdt.rectify(u, n=t.n)
+                    if not jdt.is_frank(u, rect):
+                        fail(f"frankness lost at {st.format_line()}")
+                    elif rect != t:
+                        fail(f"rectification changed at {st.format_line()}")
+    except TableauError as exc:
+        fail(f"oracle or kernel raised {exc.__class__.__name__}: {exc}")
 
     return failures, len(steps)
 

@@ -47,6 +47,12 @@ def large_tableaux(count=200, seed=23):
     return out
 
 
+def rows_from_scratch(t):
+    """The rows of ``t``, read cell by cell from its columns."""
+    height = len(t.columns[0]) if t.columns else 0
+    return [[c[r] for c in t.columns if r < len(c)] for r in range(height)]
+
+
 def swap_chain(t, i):
     """The skew tableaux after length swaps i..k-1 of ``t`` (i 1-based),
     each swap applied by the public ``jdt.length_swap`` to the one before,

@@ -414,6 +414,46 @@ class TestVerify:
             ("scanning tableau differs from jdt right key:", str(t0)),
         ]
 
+    def assert_fault_is_counterexample(self, capsys, monkeypatch, message):
+        failures = verify.run_sweep(3, 3).counterexamples
+        assert failures and all(f.startswith(message) for f in failures)
+        code, out, err = run(capsys, monkeypatch, ["verify", "--max-boxes", "3", "--max-entry", "3"])
+        assert code == 3 and err == ""
+        assert f"{len(failures)} counterexamples\n" in out
+
+    def test_oracle_result_not_a_tableau_is_a_counterexample(self, capsys, monkeypatch):
+        # A rectification whose first column has its first two entries
+        # swapped fails validation inside the oracle's reversal dual: an
+        # oracle fault on the tableau checked, not bad input.
+        rectify = jdt.rectify
+
+        def swapped(u, n=None):
+            cols = list(rectify(u, n).columns)
+            cols[0] = cols[0][1::-1] + cols[0][2:]
+            return Tableau(tuple(cols), n)
+
+        monkeypatch.setattr(jdt, "rectify", swapped)
+        self.assert_fault_is_counterexample(
+            capsys, monkeypatch,
+            "oracle or kernel raised NonDecreasingColumn: column 1 not strictly increasing at row 2",
+        )
+
+    def test_kernel_result_not_a_tableau_is_a_counterexample(self, capsys, monkeypatch):
+        # A kernel that returns each right-key column upside down.
+        kernel = scanning._kernel
+
+        class Reversed:
+            left_columns = kernel.left_columns
+
+            def scan_columns(cols, starts):
+                return [col[::-1] for col in kernel.scan_columns(cols, starts)]
+
+        monkeypatch.setattr(scanning, "_kernel", Reversed)
+        self.assert_fault_is_counterexample(
+            capsys, monkeypatch,
+            "oracle or kernel raised NonDecreasingColumn: column 1 not strictly increasing at row 2",
+        )
+
 
 class TestDemazure:
     def test_scan_engine(self, capsys, monkeypatch):

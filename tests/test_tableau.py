@@ -22,6 +22,8 @@ from keyscan.tableau import (
 )
 from keyscan.verify import shapes_up_to
 
+from helpers import census, large_tableaux, rows_from_scratch
+
 
 def semistandard(cols, n):
     """The definition, read literally."""
@@ -221,6 +223,55 @@ class TestTextFormat:
                 parse_tableau(text)
             assert str(info.value) == message
         assert parse_tableau("1\u00a02\n").columns == ((1,), (2,))
+
+    def test_first_bad_token_named(self):
+        # A row that fails the bulk conversion is read again token by token,
+        # so the first bad token decides the error, whatever follows it.
+        row = " ".join(["1"] * 149 + ["x"] + ["2"] * 50)
+        for text, message in (
+            ("0 x\n", "line 1, column 1: entries must be positive"),
+            ("x 0\n", "line 1, column 1: not an integer: 'x'"),
+            ("1 2\n3 -4 x\n", "line 2, column 2: entries must be positive"),
+            (row + "\n", "line 1, column 150: not an integer: 'x'"),
+        ):
+            with pytest.raises(TableauSyntaxError) as info:
+                parse_tableau(text)
+            assert str(info.value) == message
+
+    def test_accepted_forms(self):
+        assert parse_tableau("+3 007\n").columns == ((3,), (7,))
+        t = parse_tableau("\n  \nn= 5\n1 2\n\t3\n\nignored\n")
+        assert t == Tableau(((1, 3), (2,)), 5)
+
+    @pytest.mark.parametrize("text, rows", [
+        ("1 2\x0c\n3 4\n", [[1, 2], [3, 4]]),  # a form feed is no blank line
+        ("1 1\n2\x1c\n3\n", [[1, 1], [2], [3]]),
+        ("1 2\x0b3 4\n", [[1, 2, 3, 4]]),  # nor is a vertical tab a line break
+    ])
+    def test_rows_end_only_at_line_breaks(self, text, rows):
+        # Other characters that str.splitlines() breaks at separate tokens.
+        assert parse_tableau(text) == Tableau.from_rows(rows)
+
+    @pytest.mark.parametrize("sep", ["\n", "\r\n", "\r"])
+    def test_line_breaks(self, sep):
+        assert parse_tableau(f"n=4{sep}1 1{sep}2{sep}") == Tableau(((1, 2), (1,)), 4)
+
+    @pytest.mark.parametrize("text, line", [("", 1), ("\n", 1), (" \r\n\t", 2), ("\n\n", 2)])
+    def test_empty_input_names_last_line(self, text, line):
+        with pytest.raises(TableauSyntaxError) as info:
+            parse_tableau(text)
+        assert str(info.value) == f"line {line}: empty input"
+
+    def test_empty_tableau_text(self):
+        t = Tableau((), 3)
+        assert format_tableau(t) == "n=3\n"
+        assert format_tableau(t, header=False) == "\n"
+        assert parse_tableau(format_tableau(t)) == t
+
+    def test_round_trip_and_rows_census_and_large(self):
+        for t in [*census(6, 4), *large_tableaux()]:
+            assert parse_tableau(format_tableau(t)) == t
+            assert t.rows() == rows_from_scratch(t)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
