@@ -5,9 +5,10 @@ Tableaux are read from a file argument or standard input in the text
 format of :mod:`keyscan.tableau`; results go to standard output, traces
 to standard error.
 
-Exit codes: 1 for bad input, a malformed command line or unwritable output,
-2 for an oracle or engine disagreement or any other internal error (an
-implementation bug), 3 for a verification counterexample.
+Exit codes: 1 for bad input, a malformed command line, unwritable output
+or a result too large for memory, 2 for an oracle or engine disagreement
+or any other internal error (an implementation bug), 3 for a
+verification counterexample.
 
 Each handler imports the modules it runs, so a subcommand loads only
 what it needs, and reads their functions off the module at call time.
@@ -268,6 +269,8 @@ def main(argv=None) -> int:
         return code
     except TableauError as exc:
         code, message = 1, f"error: {exc}"
+    except MemoryError:  # the input asks for more than this machine holds
+        code, message = 1, "error: out of memory"
     except OSError as exc:  # unwritable output: a closed pipe, a full disk
         # Stdout keeps a result already written unless its own write failed.
         if not isinstance(exc, _StderrError) or not _flushed(sys.stdout):

@@ -15,6 +15,7 @@ All arithmetic is exact integer arithmetic on sparse exponent maps.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from operator import gt
 
@@ -147,8 +148,16 @@ def key_of_composition(parts) -> Tableau:
     return Tableau(cols, n)
 
 
-def _check_permutation(w, n):
+def _check_nvars(n):
+    """A polynomial in ``n`` variables keeps n-tuples of exponents, so
+    ``n`` is an int from 1 to the longest tuple Python can hold."""
     _check_bound(n, BadDimensions)
+    if n > sys.maxsize:
+        raise BadDimensions(f"n={n} is more variables than a tuple can hold ({sys.maxsize})")
+
+
+def _check_permutation(w, n):
+    _check_nvars(n)
     w = tuple(w)
     if any(type(x) is not int for x in w) or sorted(w) != list(range(1, len(w) + 1)):
         raise BadDimensions(f"{w} is not a permutation of 1..{len(w)}")
@@ -158,7 +167,7 @@ def _check_permutation(w, n):
 
 
 def _check_partition(mu, n):
-    _check_bound(n, BadDimensions)
+    _check_nvars(n)
     mu = tuple(p for p in mu if p)
     if not is_shape(mu):
         raise BadDimensions(f"{mu} is not a partition")

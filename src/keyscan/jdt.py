@@ -16,20 +16,21 @@ put equal entries in the same column.
 The oracle validates at its boundary: public functions take and return
 validated tableaux.  Inside, it shares no code with the public slides.
 Rectification column-inserts the column reading word, which gives the
-same tableau as any sequence of forward slides.  The right-key
-choreography runs in place on column offsets and one entry list per
-column, and re-checks legality on the columns each pull-down or reverse
-slide changed, with the same checker as :class:`SkewTableau`.
-Its swap records carry scalars only: the skew tableau after each swap
-comes from :func:`length_swap`, chained from
-``SkewTableau.from_tableau(t)``.
+same tableau as any sequence of forward slides; the reversal dual
+inserts the reading word of the rotated, complemented tableau without
+building that skew tableau.  The right-key choreography is walked in one
+place, :func:`swap_chain`, in place on column offsets and one entry list
+per column; it re-checks legality on the columns each pull-down or
+reverse slide changed, with the same checker as :class:`SkewTableau`.
+Each swap's record, scalars only, comes with the working form after
+that swap, whose ``skew()`` is the validated skew tableau.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 
-from .tableau import SkewTableau, Tableau, TableauError, _check_skew, _Frozen, _Value
+from .tableau import SkewTableau, Tableau, TableauError, _check_skew, _Value
 
 
 class NotAnInsideCorner(TableauError):
@@ -52,32 +53,11 @@ class NotASkewShape(TableauError):
     """The filled cells of a skew tableau do not form a skew shape."""
 
 
-class SlideTrace(_Frozen):
-    """Path a hole takes during one slide; cells are (column, row), and
-    ``direction`` is "forward" or "reverse"."""
-
-    _fields = ("start", "path", "direction")
-
-    def __init__(self, start: tuple[int, int], path: tuple[tuple[int, int], ...],
-                 direction: str):
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "direction", direction)
-
-    @property
-    def end(self) -> tuple[int, int]:
-        return self.path[-1]
-
-    def format_line(self) -> str:
-        cells = " ".join(f"({c + 1},{r + 1})" for c, r in self.path)
-        return f"{self.direction} {cells}"
-
-
 class LengthSwapStep(_Value):
     """Record of one length swap: index, slide count, pull-down depth,
-    and the bottom entries of the two columns before/after.  The skew
-    tableaux themselves come from :func:`length_swap`.  Mutable, so
-    unhashable."""
+    and the bottom entries of the two columns before/after.
+    :func:`swap_chain` yields each with the working form after its swap.
+    Mutable, so unhashable."""
 
     __slots__ = _fields = ("j", "x", "d", "bottom_left_before", "bottom_right_before",
                            "bottom_right_after")
@@ -158,26 +138,29 @@ def _reverse_path(cells: dict, c: int, r: int):
     return path
 
 
-def forward_slide(u: SkewTableau, corner) -> tuple[SkewTableau, SlideTrace]:
+def forward_slide(u: SkewTableau, corner) -> tuple[SkewTableau, tuple]:
     """One forward slide from an inside corner (an empty cell with a
-    filled cell below or to the right)."""
+    filled cell below or to the right).  Returns the slid skew tableau and
+    the hole's path, a tuple of (column, row) cells from ``corner`` to
+    where the hole leaves the diagram."""
     c, r = corner
     cells = u.cells()
     if (c, r) in cells or ((c, r + 1) not in cells and (c + 1, r) not in cells):
         raise NotAnInsideCorner(f"({c + 1},{r + 1}) is not an inside corner")
     path = _forward_path(cells, c, r)
-    return _from_cells(cells, len(u.columns)), SlideTrace((c, r), tuple(path), "forward")
+    return _from_cells(cells, len(u.columns)), tuple(path)
 
 
-def reverse_slide(u: SkewTableau, corner) -> tuple[SkewTableau, SlideTrace]:
+def reverse_slide(u: SkewTableau, corner) -> tuple[SkewTableau, tuple]:
     """One reverse slide from an outside corner (an empty cell with a
-    filled cell above or to the left)."""
+    filled cell above or to the left); returns the skew tableau and the
+    hole's path, as :func:`forward_slide` does."""
     c, r = corner
     cells = u.cells()
     if (c, r) in cells or ((c, r - 1) not in cells and (c - 1, r) not in cells):
         raise NotAnOutsideCorner(f"({c + 1},{r + 1}) is not an outside corner")
     path = _reverse_path(cells, c, r)
-    return _from_cells(cells, len(u.columns)), SlideTrace((c, r), tuple(path), "reverse")
+    return _from_cells(cells, len(u.columns)), tuple(path)
 
 
 # -- rectification ---------------------------------------------------------
@@ -196,13 +179,11 @@ def rectify(u: SkewTableau, n=None) -> Tableau:
     The rectification of a skew tableau is the insertion tableau of its
     column reading word (Schützenberger; Fulton, *Young Tableaux*, ch. 2-3).
     Column insertion builds it from the word's last letter on, so the
-    entries are read from the columns right to left, each top to bottom.
-    An entry x goes into the first column with an entry >= x, bumping the
-    smallest such entry into the next column, or onto the end of the first
-    column without one.  The public forward slides remain the reference the
-    tests hold this to.  The result is validated once, as a Tableau.
+    entries are read from the columns right to left, each top to bottom,
+    and passed to :func:`_column_insert`.  The public forward slides remain
+    the reference the tests hold this to.
     """
-    cols: list[list[int]] = []
+    word = []  # the column reading word, from its last letter on
     top = bottom = 0  # of the nearest filled column to the right
     for c in range(len(u.columns) - 1, -1, -1):
         off, col = u.columns[c]
@@ -212,15 +193,26 @@ def rectify(u: SkewTableau, n=None) -> Tableau:
         if off < top or off + len(col) < bottom:
             raise NotASkewShape(f"column {c + 1} breaks the skew shape of the filled cells")
         top, bottom = off, off + len(col)
-        for x in col:
-            for column in cols:
-                i = bisect_left(column, x)
-                if i == len(column):
-                    column.append(x)
-                    break
-                column[i], x = x, column[i]
-            else:
-                cols.append([x])
+        word += col
+    return _column_insert(word, n)
+
+
+def _column_insert(word, n) -> Tableau:
+    """Column-insert the letters of ``word`` in order into an empty
+    tableau.  A letter x goes into the first column with an entry >= x,
+    bumping the smallest such entry into the next column, or onto the end
+    of the first column without one.  The result is validated once, as a
+    Tableau with entry bound ``n`` (its largest entry when None)."""
+    cols: list[list[int]] = []
+    for x in word:
+        for column in cols:
+            i = bisect_left(column, x)
+            if i == len(column):
+                column.append(x)
+                break
+            column[i], x = x, column[i]
+        else:
+            cols.append([x])
     if n is None:
         n = max([col[-1] for col in cols], default=1)
     return Tableau(tuple([tuple(col) for col in cols]), n)
@@ -253,6 +245,10 @@ class _WorkingTableau:
     def __init__(self, offs, cols):
         self.offs = list(offs)
         self.cols = [list(col) for col in cols]
+
+    def skew(self) -> SkewTableau:
+        """The working form as a new, validated skew tableau."""
+        return SkewTableau(tuple([(off, tuple(col)) for off, col in zip(self.offs, self.cols)]))
 
     def pull_down(self, l: int, d: int):
         """Shift columns ``0..l-1`` down ``d >= 0`` rows, ``l`` being less
@@ -302,8 +298,8 @@ class _WorkingTableau:
         _check_skew(offs, cols, c, j)
 
     def length_swap(self, j: int):
-        """The j-th length swap (1-based) in place; returns the fields of
-        its :class:`LengthSwapStep` up to the bottom entries."""
+        """The j-th length swap (1-based) in place; returns its
+        :class:`LengthSwapStep`."""
         offs, cols = self.offs, self.cols
         k = len(cols)
         if not 1 <= j <= k - 1:
@@ -327,7 +323,7 @@ class _WorkingTableau:
         got = (len(left), len(right))
         if got != (len_j1, len_j):
             raise BadIndex(f"swap {j} undefined here: its slides gave lengths {got}, wanted {(len_j1, len_j)}")
-        return x, d, bottom_left, bottom_right, right[-1]
+        return LengthSwapStep(j, x, d, bottom_left, bottom_right, right[-1])
 
 
 def length_swap(u: SkewTableau, j: int) -> SkewTableau:
@@ -344,7 +340,20 @@ def length_swap(u: SkewTableau, j: int) -> SkewTableau:
     """
     w = _WorkingTableau(u.offsets(), [col for _off, col in u.columns])
     w.length_swap(j)
-    return SkewTableau(tuple([(off, tuple(col)) for off, col in zip(w.offs, w.cols)]))
+    return w.skew()
+
+
+def swap_chain(t: Tableau, i: int):
+    """The choreography of right-key column i (1-based): length swaps
+    i..k-1 of ``t``, run in place on one working form.  Yields each swap's
+    :class:`LengthSwapStep` with the working form after it, which the next
+    swap changes; its ``skew()`` is that skew tableau, validated."""
+    k = t.k
+    if not 1 <= i <= k:
+        raise BadIndex(f"column index {i} outside 1..{k}")
+    w = _WorkingTableau([0] * k, t.columns)
+    for j in range(i, k):
+        yield w.length_swap(j), w
 
 
 # -- keys via frank tableaux ----------------------------------------------
@@ -353,18 +362,12 @@ def length_swap(u: SkewTableau, j: int) -> SkewTableau:
 def right_key_column_oracle(t: Tableau, i: int, collect=None) -> tuple[int, ...]:
     """The i-th right-key column (1-based): rightmost column after length
     swaps i..k-1, which walks column i's length to the right edge.  The
-    swaps run in place on one working form of ``t``."""
-    k = t.k
-    if not 1 <= i <= k:
-        raise BadIndex(f"column index {i} outside 1..{k}")
-    if i == k:
-        return t.columns[-1]
-    w = _WorkingTableau([0] * k, t.columns)
-    for j in range(i, k):
-        fields = w.length_swap(j)
+    swap records are appended to ``collect`` when given."""
+    w = None
+    for st, w in swap_chain(t, i):
         if collect is not None:
-            collect.append(LengthSwapStep(j, *fields))
-    return tuple(w.cols[-1])
+            collect.append(st)
+    return t.columns[-1] if w is None else tuple(w.cols[-1])
 
 
 def right_key_oracle(t: Tableau, collect=None) -> Tableau:
@@ -375,26 +378,15 @@ def right_key_oracle(t: Tableau, collect=None) -> Tableau:
     return Tableau(cols, t.n)
 
 
-def rotate_180(t: Tableau) -> SkewTableau:
-    """Rotate the diagram of ``t`` a half turn and replace each entry ``e``
-    by ``n+1-e``.  The result is a legal skew tableau; slides commute with
-    this rotation."""
-    if t.k == 0:
-        return SkewTableau(())
-    height = len(t.columns[0])
-    cols = []
-    for col in reversed(t.columns):
-        cols.append((height - len(col), tuple(t.n + 1 - e for e in reversed(col))))
-    return SkewTableau(tuple(cols))
-
-
 def reversal_dual(t: Tableau) -> Tableau:
-    """Rectification of the rotated-and-complemented tableau.
-
-    An involution on tableaux of a fixed shape with entries <= n; it
-    exchanges the roles of left and right keys.
-    """
-    return rectify(rotate_180(t), n=t.n)
+    """Rectification of ``t`` turned a half turn, each entry ``e``
+    replaced by ``n+1-e``: an involution on tableaux of a fixed shape with
+    entries <= n that exchanges the roles of left and right keys.  The
+    turned skew tableau is not built: read right to left, each column top
+    to bottom, it gives the columns of ``t`` left to right, each bottom to
+    top and complemented, the word :func:`rectify` would insert."""
+    n = t.n
+    return _column_insert([n + 1 - e for col in t.columns for e in reversed(col)], n)
 
 
 def complement_key(key: Tableau) -> Tableau:

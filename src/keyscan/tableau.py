@@ -430,10 +430,6 @@ class SkewTableau(_Frozen):
         cols = self.columns
         _check_skew([off for off, _ in cols], [col for _, col in cols], 0, len(cols) - 1)
 
-    @classmethod
-    def from_tableau(cls, t: Tableau) -> "SkewTableau":
-        return cls(tuple((0, col) for col in t.columns))
-
     def lengths(self) -> tuple[int, ...]:
         return tuple(len(col) for _, col in self.columns)
 

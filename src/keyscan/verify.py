@@ -6,7 +6,9 @@ oracles plus the structural key/order invariants.  Each tableau's
 length-swap chains run once per sweep: its right oracle key also gives,
 complemented, the left oracle key of its reversal dual.  That checks no
 less; a second run would repeat a deterministic computation on the same
-input.  Used by the CLI ``verify`` subcommand and by the acceptance suite.
+input.  ``check_swaps`` walks them again, by :func:`keyscan.jdt.swap_chain`,
+to rectify the skew tableau after every swap.  Used by the CLI ``verify``
+subcommand and by the acceptance suite.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import os
 import time
 
 from . import jdt, scanning
-from .tableau import SkewTableau, Tableau, TableauError, _Value, entrywise_leq, enumerate_tableaux
+from .tableau import Tableau, TableauError, _Value, entrywise_leq, enumerate_tableaux
 
 
 # A module-level generator: a closure that calls itself is a reference
@@ -165,15 +167,11 @@ def check_tableau(t: Tableau, check_swaps: bool = False,
                 fail(f"two-case bottom-entry rule violated at {st.format_line()}")
 
         if check_swaps:
-            # The oracle records swaps i..k-1 for each column i in turn; walk
-            # the same chains through the public length swap, rectifying each
-            # skew tableau once.
-            records = iter(steps)
+            # Walk the chains again: each swap's record comes with the skew
+            # tableau after it, rectified once.
             for i in range(1, t.k):
-                u = SkewTableau.from_tableau(t)
-                for j in range(i, t.k):
-                    u = jdt.length_swap(u, j)
-                    st = next(records)
+                for st, w in jdt.swap_chain(t, i):
+                    u = w.skew()
                     rect = jdt.rectify(u, n=t.n)
                     if not jdt.is_frank(u, rect):
                         fail(f"frankness lost at {st.format_line()}")

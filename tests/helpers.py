@@ -53,14 +53,22 @@ def rows_from_scratch(t):
     return [[c[r] for c in t.columns if r < len(c)] for r in range(height)]
 
 
-def swap_chain(t, i):
-    """The skew tableaux after length swaps i..k-1 of ``t`` (i 1-based),
-    each swap applied by the public ``jdt.length_swap`` to the one before,
-    starting from ``t`` itself: the choreography of right-key column i."""
-    u = SkewTableau.from_tableau(t)
-    for j in range(i, t.k):
-        u = jdt.length_swap(u, j)
-        yield u
+def straight_skew(t):
+    """``t`` as a skew tableau: every column at offset 0."""
+    return SkewTableau(tuple((0, col) for col in t.columns))
+
+
+def rotate_180(t):
+    """Rotate the diagram of ``t`` a half turn and replace each entry ``e``
+    by ``n+1-e``: a legal skew tableau whose rectification is the reversal
+    dual of ``t``."""
+    if t.k == 0:
+        return SkewTableau(())
+    height = len(t.columns[0])
+    cols = []
+    for col in reversed(t.columns):
+        cols.append((height - len(col), tuple(t.n + 1 - e for e in reversed(col))))
+    return SkewTableau(tuple(cols))
 
 
 def strict_inside_corners(cells: dict):
@@ -91,7 +99,7 @@ def rectify_from_scratch(u, choose):
             cols = tuple(col for _off, col in u.columns if col)
             assert all(off == 0 for off, col in u.columns if col)
             return Tableau(cols, max(max(col) for col in cols))
-        u, _tr = jdt.forward_slide(u, choose(corners))
+        u, _path = jdt.forward_slide(u, choose(corners))
 
 
 def canonical_skew_diagram(lengths) -> tuple[int, ...]:

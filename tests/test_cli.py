@@ -422,17 +422,17 @@ class TestVerify:
         assert f"{len(failures)} counterexamples\n" in out
 
     def test_oracle_result_not_a_tableau_is_a_counterexample(self, capsys, monkeypatch):
-        # A rectification whose first column has its first two entries
+        # An insertion whose first column has its first two entries
         # swapped fails validation inside the oracle's reversal dual: an
         # oracle fault on the tableau checked, not bad input.
-        rectify = jdt.rectify
+        column_insert = jdt._column_insert
 
-        def swapped(u, n=None):
-            cols = list(rectify(u, n).columns)
+        def swapped(word, n):
+            cols = list(column_insert(word, n).columns)
             cols[0] = cols[0][1::-1] + cols[0][2:]
             return Tableau(tuple(cols), n)
 
-        monkeypatch.setattr(jdt, "rectify", swapped)
+        monkeypatch.setattr(jdt, "_column_insert", swapped)
         self.assert_fault_is_counterexample(
             capsys, monkeypatch,
             "oracle or kernel raised NonDecreasingColumn: column 1 not strictly increasing at row 2",
@@ -511,6 +511,26 @@ class TestDemazure:
         )
         assert code == 1
         assert err == "error: not a list of integers: 'a'\n"
+
+    def test_more_variables_than_a_tuple_holds_exit_1(self, capsys, monkeypatch):
+        # 2**63 and 2**64 are refused before anything is allocated.
+        for n in (2**63, 2**64):
+            for argv in (["demazure", "--mu", "1", "--w", "1", "--n", str(n)],
+                         ["schur", "--mu", ",", "--n", str(n)]):
+                code, out, err = run(capsys, monkeypatch, argv)
+                assert code == 1 and out == ""
+                assert err == (f"error: n={n} is more variables than a tuple can hold "
+                               f"({sys.maxsize})\n")
+
+    def test_out_of_memory_exit_1(self, capsys, monkeypatch):
+        from keyscan import demazure
+
+        def too_large(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(demazure, "demazure_character", too_large)
+        code, out, err = run(capsys, monkeypatch, ["demazure", "--mu", "1", "--w", "1", "--n", "1"])
+        assert (code, out, err) == (1, "", "error: out of memory\n")
 
 
 class TestSchur:

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +21,7 @@ from keyscan.jdt import (
     reverse_slide,
     right_key_column_oracle,
     right_key_oracle,
-    rotate_180,
+    swap_chain,
     _WorkingTableau,
 )
 from keyscan.tableau import (
@@ -37,9 +39,10 @@ from helpers import (
     census,
     large_tableaux,
     rectify_from_scratch,
+    rotate_180,
     skew_fillings,
+    straight_skew,
     strict_inside_corners,
-    swap_chain,
 )
 
 
@@ -52,7 +55,7 @@ class TestSlides:
             forward_slide(u, (3, 0))  # nothing below or right
 
     def test_reverse_needs_outside_corner(self):
-        u = SkewTableau.from_tableau(Tableau.from_rows([[1, 2]]))
+        u = straight_skew(Tableau.from_rows([[1, 2]]))
         with pytest.raises(NotAnOutsideCorner):
             reverse_slide(u, (0, 0))
         with pytest.raises(NotAnOutsideCorner):
@@ -60,9 +63,8 @@ class TestSlides:
 
     def test_single_forward_slide(self):
         u = SkewTableau(((1, (2,)), (0, (1, 3))))
-        v, tr = forward_slide(u, (0, 0))
-        assert tr.direction == "forward"
-        assert tr.path[0] == (0, 0)
+        v, path = forward_slide(u, (0, 0))
+        assert path[0] == (0, 0)
         assert sorted(v.cells().values()) == [1, 2, 3]
 
     def test_round_trip(self):
@@ -70,21 +72,15 @@ class TestSlides:
         for _ in range(300):
             u = random_skew(rng)
             for corner in strict_inside_corners(u.cells()):
-                v, tr = forward_slide(u, corner)
-                back, tr2 = reverse_slide(v, tr.end)
+                v, path = forward_slide(u, corner)
+                back, path2 = reverse_slide(v, path[-1])
                 assert back == u
-                assert tr2.end == corner
-
-    def test_trace_format(self):
-        u = SkewTableau(((1, (2,)), (0, (1, 3))))
-        _, tr = forward_slide(u, (0, 0))
-        line = tr.format_line()
-        assert line.startswith("forward ") and "(1,1)" in line
+                assert path2[-1] == corner
 
 
 class TestRectify:
     def test_straight_shape_fixed(self, example_t):
-        u = SkewTableau.from_tableau(example_t)
+        u = straight_skew(example_t)
         assert rectify(u, n=example_t.n) == example_t
 
     def test_semistandard_result(self):
@@ -125,9 +121,9 @@ class TestRectify:
         # Every tableau and every skew tableau its swap chains pass through.
         skews = {}
         for t in census(6, 4):
-            skews[SkewTableau.from_tableau(t)] = None
+            skews[straight_skew(t)] = None
             for i in range(1, t.k):
-                skews.update((u, None) for u in swap_chain(t, i))
+                skews.update((w.skew(), None) for _st, w in swap_chain(t, i))
         self.assert_matches_from_scratch(skews)
 
     def test_empty_columns_match_from_scratch(self):
@@ -160,7 +156,7 @@ class TestRectify:
 
 class TestFrank:
     def test_straight_is_frank(self, example_t):
-        assert is_frank(SkewTableau.from_tableau(example_t))
+        assert is_frank(straight_skew(example_t))
 
     def test_non_frank_example(self):
         # rectifies to one column of length 2, but has column lengths (1, 1)
@@ -168,7 +164,7 @@ class TestFrank:
         assert not is_frank(u)
 
     def test_swap_outputs_frank(self, example_t):
-        u = SkewTableau.from_tableau(example_t)
+        u = straight_skew(example_t)
         for j in range(1, example_t.k):
             u = length_swap(u, j)
             assert is_frank(u)
@@ -177,7 +173,7 @@ class TestFrank:
 
 class TestLengthSwap:
     def test_example_first_swap(self, example_t):
-        u = SkewTableau.from_tableau(example_t)
+        u = straight_skew(example_t)
         v = length_swap(u, 1)
         assert v.lengths() == (4, 6, 4, 3, 2)
         assert v.columns[1] == (0, (1, 3, 4, 5, 7, 8))
@@ -189,7 +185,7 @@ class TestLengthSwap:
         assert "j=1" in st.format_line()
 
     def test_bad_index(self, example_t):
-        u = SkewTableau.from_tableau(example_t)
+        u = straight_skew(example_t)
         with pytest.raises(BadIndex):
             length_swap(u, 0)
         with pytest.raises(BadIndex):
@@ -218,7 +214,8 @@ class TestLengthSwap:
     def test_swaps_preserve_rectification(self):
         for t in census(4, 3):
             for i in range(1, t.k):
-                for u in swap_chain(t, i):
+                for _st, w in swap_chain(t, i):
+                    u = w.skew()
                     assert is_frank(u)
                     assert rectify(u, n=t.n) == t
 
@@ -228,7 +225,7 @@ def reference_right_key_column(t, i):
     with the public reverse_slide only, and for each swap the fields of
     its LengthSwapStep followed by the skew tableaux before and after it.
     A pull-down is d reverse slides under each of the columns it moves."""
-    u = SkewTableau.from_tableau(t)
+    u = straight_skew(t)
     steps = []
     for j in range(i, t.k):
         (left_off, left), (right_off, right) = u.columns[j - 1], u.columns[j]
@@ -241,14 +238,14 @@ def reference_right_key_column(t, i):
         for c in range(j - 1):
             for _ in range(d):
                 off, col = v.columns[c]
-                v, _tr = reverse_slide(v, (c, off + len(col)))
+                v, _path = reverse_slide(v, (c, off + len(col)))
         assert v.columns == tuple(
             (off + d, col) if c < j - 1 else (off, col)
             for c, (off, col) in enumerate(u.columns)
         )
         for _ in range(x):
             off, col = v.columns[j]
-            v, _tr = reverse_slide(v, (j, off + len(col)))
+            v, _path = reverse_slide(v, (j, off + len(col)))
         assert v.lengths()[j - 1 : j + 1] == (len(right), len(left))
         steps.append((j, x, d, left[-1], right[-1], v.columns[j][1][-1], u, v))
         u = v
@@ -257,6 +254,10 @@ def reference_right_key_column(t, i):
 
 class TestInPlaceOracle:
     def test_matches_public_choreography(self):
+        # The oracle's records and swap_chain's skew tableaux against the
+        # choreography written with the public reverse_slide, and against
+        # the public length_swap chained.  Each skew is read at its own
+        # step, before the next swap changes the working form.
         for t in census(6, 4):
             for i in range(1, t.k + 1):
                 steps = []
@@ -268,8 +269,20 @@ class TestInPlaceOracle:
                 ]
                 ref_col, ref_steps = reference_right_key_column(t, i)
                 assert (col, records) == (ref_col, [ref[:6] for ref in ref_steps])
-                chain = list(swap_chain(t, i))
-                assert chain == [ref[7] for ref in ref_steps]
+                u, chain, skews = straight_skew(t), [], []
+                for st, w in swap_chain(t, i):
+                    u = length_swap(u, st.j)
+                    skews.append(w.skew())
+                    chain.append(st)
+                    assert skews[-1] == u
+                assert chain == steps
+                assert skews == [ref[7] for ref in ref_steps]
+
+    def test_swap_chain_index_bounds(self, example_t):
+        for i in (0, example_t.k + 1):
+            with pytest.raises(BadIndex):
+                next(swap_chain(example_t, i))
+        assert list(swap_chain(example_t, example_t.k)) == []
 
     def test_touched_column_check_matches_validation(self):
         # Column 2 (index 1) is the touched one; each plant breaks one rule.
@@ -337,6 +350,12 @@ class TestRotationDuality:
             example_t.n + 1 - e for c in example_t.columns for e in c
         )
 
+    def test_dual_is_rectified_rotation(self):
+        # The dual inserts the rotated tableau's reading word without
+        # building it; the rotation built from scratch, rectified, agrees.
+        for t in itertools.chain(census(8, 5), large_tableaux()):
+            assert reversal_dual(t) == rectify(rotate_180(t), n=t.n)
+
     def test_dual_is_involution(self):
         for t in itertools.chain(census(5, 4), large_tableaux()):
             d = reversal_dual(t)
@@ -403,3 +422,22 @@ class TestSkewFillings:
                 if is_frank(u) and rectify(u, n=t.n) == t
             ]
             assert len(hits) == 1
+
+
+class TestIndependence:
+    def test_oracle_imports_no_scanning_code(self):
+        # The cross-check is worth something only while the oracle shares
+        # no code with the scanning method it checks.
+        from keyscan import jdt
+
+        banned = {"scanning", "_scan_py", "_scankernel"}
+        imported = []
+        for node in ast.walk(ast.parse(Path(jdt.__file__).read_text())):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported.append(node.module or "")
+                imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        assert imported
+        for name in imported:
+            assert not banned & set(name.split(".")), name

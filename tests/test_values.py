@@ -18,7 +18,7 @@ import pytest
 
 import keyscan
 from keyscan.demazure import SparsePolynomial
-from keyscan.jdt import LengthSwapStep, SlideTrace
+from keyscan.jdt import LengthSwapStep
 from keyscan.scanning import EwisResult
 from keyscan.tableau import SkewTableau, Tableau, _Frozen, _Value
 from keyscan.verify import VerifyReport
@@ -29,8 +29,6 @@ CASES = [
     (SkewTableau, {"columns": ((1, (1, 2)), (0, (3,)))}, {"frozen": True},
      ("columns", ((0, (1, 2)),))),
     (EwisResult, {"indices": (1, 3), "values": (2, 4)}, {"frozen": True}, ("values", (2, 5))),
-    (SlideTrace, {"start": (0, 0), "path": ((0, 0), (0, 1)), "direction": "forward"},
-     {"frozen": True}, ("direction", "reverse")),
     (LengthSwapStep, {"j": 1, "x": 1, "d": 0, "bottom_left_before": 3,
                       "bottom_right_before": 2, "bottom_right_after": 3},
      {"slots": True}, ("d", 1)),
