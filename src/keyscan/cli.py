@@ -105,34 +105,31 @@ def _explain(label, traces):
             _err("  (" + ",".join(map(str, values)) + ")\n")
 
 
-def _cmd_right_key(args):
+class _Fault(Exception):
+    """A :class:`TableauError` from a result built out of valid input: a
+    bug, so ``main`` reports its cause as an internal error, not bad input."""
+
+
+def _cmd_key(args):
+    """right-key and left-key: the key of the tableau read, by the
+    scanning function ``args.key`` of :mod:`keyscan.scanning`, its passes
+    by ``args.trace`` under --explain, and the verdict of the jdt oracle
+    ``args.key_oracle`` under --oracle."""
     from . import scanning
 
     t = _read_tableau(args.file)
-    s = scanning.scanning_tableau(t)
-    if args.explain:
-        _explain("start", scanning.scan_trace(t))
-    sys.stdout.write(format_tableau(s))
-    if not args.oracle:
-        return 0
-    from . import jdt
+    try:
+        key = getattr(scanning, args.key)(t)
+        if args.explain:
+            _explain(args.label, getattr(scanning, args.trace)(t))
+        sys.stdout.write(format_tableau(key))
+        if not args.oracle:
+            return 0
+        from . import jdt
 
-    return _check_oracle(s, jdt.right_key_oracle(t))
-
-
-def _cmd_left_key(args):
-    from . import scanning
-
-    t = _read_tableau(args.file)
-    lk = scanning.left_key(t)
-    if args.explain:
-        _explain("end", scanning.left_trace(t))
-    sys.stdout.write(format_tableau(lk))
-    if not args.oracle:
-        return 0
-    from . import jdt
-
-    return _check_oracle(lk, jdt.left_key_oracle(t))
+        return _check_oracle(key, getattr(jdt, args.key_oracle)(t))
+    except TableauError as exc:
+        raise _Fault from exc
 
 
 def _cmd_verify(args):
@@ -216,14 +213,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", help="tableau file (default: stdin)")
     p.add_argument("--explain", action="store_true", help="print EWIS passes to stderr")
     p.add_argument("--oracle", action="store_true", help="cross-check against jeu de taquin")
-    p.set_defaults(func=_cmd_right_key)
+    p.set_defaults(func=_cmd_key, key="scanning_tableau", trace="scan_trace", label="start",
+                   key_oracle="right_key_oracle")
 
     p = sub.add_parser("left-key", help="left key by the scanning method")
-    p.add_argument("file", nargs="?")
+    p.add_argument("file", nargs="?", help="tableau file (default: stdin)")
     p.add_argument("--explain", action="store_true",
                    help="print each pass's picks, right to left, to stderr")
-    p.add_argument("--oracle", action="store_true")
-    p.set_defaults(func=_cmd_left_key)
+    p.add_argument("--oracle", action="store_true", help="cross-check against jeu de taquin")
+    p.set_defaults(func=_cmd_key, key="left_key", trace="left_trace", label="end",
+                   key_oracle="left_key_oracle")
 
     p = sub.add_parser("verify", help="exhaustive sweep against the oracles")
     p.add_argument("--max-boxes", type=int, required=True)
@@ -269,6 +268,8 @@ def main(argv=None) -> int:
         return code
     except TableauError as exc:
         code, message = 1, f"error: {exc}"
+    except _Fault as exc:  # a key or oracle result broke a tableau rule
+        code, message = 2, f"internal error: {exc.__cause__!r}"
     except MemoryError:  # the input asks for more than this machine holds
         code, message = 1, "error: out of memory"
     except OSError as exc:  # unwritable output: a closed pipe, a full disk

@@ -372,8 +372,6 @@ def right_key_column_oracle(t: Tableau, i: int, collect=None) -> tuple[int, ...]
 
 def right_key_oracle(t: Tableau, collect=None) -> Tableau:
     """The right key of ``t`` as a key tableau of the same shape."""
-    if t.k == 0:
-        return t
     cols = tuple(right_key_column_oracle(t, i, collect) for i in range(1, t.k + 1))
     return Tableau(cols, t.n)
 
@@ -399,6 +397,4 @@ def complement_key(key: Tableau) -> Tableau:
 def left_key_oracle(t: Tableau) -> Tableau:
     """The left key of ``t``: the complement of the right key of the
     reversal dual of ``t``."""
-    if t.k == 0:
-        return t
     return complement_key(right_key_oracle(reversal_dual(t)))

@@ -12,7 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from itertools import combinations, zip_longest
+from itertools import zip_longest
 from operator import attrgetter
 
 
@@ -99,9 +99,7 @@ def is_shape(lengths) -> bool:
 def conjugate(lengths) -> tuple[int, ...]:
     """Conjugate partition: converts column lengths to row lengths and back."""
     lengths = tuple(lengths)
-    if not lengths:
-        return ()
-    return tuple(sum(1 for x in lengths if x >= r) for r in range(1, max(lengths) + 1))
+    return tuple(sum(1 for x in lengths if x >= r) for r in range(1, max(lengths, default=0) + 1))
 
 
 class Tableau(_Frozen):
@@ -294,10 +292,8 @@ def parse_tableau(text: str) -> Tableau:
         if row is None or min(row) < 1:
             row = _row(tokens, lineno)
         rows.append(row)
-    if not rows:
-        if n is None:
-            raise TableauSyntaxError("empty input", lineno or 1)
-        return Tableau((), n)
+    if not rows and n is None:
+        raise TableauSyntaxError("empty input", lineno or 1)
     return Tableau.from_rows(rows, n)
 
 
@@ -320,8 +316,7 @@ def _columns_of_length(length: int, n: int, lower, upper=None) -> list[tuple[int
     to the left) and, when ``upper`` is given, above entrywise by it (one
     bound per row).  Returned in lexicographic order."""
     out: list = []
-    if length <= n:
-        _fill_column(0, 1, [0] * length, n, lower, upper, out)
+    _fill_column(0, 1, [0] * length, n, lower, upper, out)
     return out
 
 
@@ -358,13 +353,7 @@ def enumerate_tableaux(shape, n: int):
     bottom, columns left to right), which keeps golden files stable.
     An entry bound below 1 raises :class:`EntryOutOfBound`.
     """
-    shape = _check_shape(shape, n)
-    if not shape:
-        yield Tableau((), n)
-        return
-    if shape[0] > n:
-        return
-    yield from _fill_tableaux(shape, n, 0, (), [])
+    yield from _fill_tableaux(_check_shape(shape, n), n, 0, (), [])
 
 
 # Yields every tableau of ``shape`` whose first ``i`` columns are ``acc``,
@@ -383,27 +372,20 @@ def _fill_tableaux(shape, n, i, prev, acc):
 def count_tableaux(shape, n: int) -> int:
     """Number of semistandard tableaux of ``shape`` with entries <= ``n``.
 
-    Independent column-by-column dynamic program over all strictly
-    increasing columns; used as a counting oracle for the enumerator.
-    Validates ``shape`` and ``n`` as :func:`enumerate_tableaux` does.
+    Stanley's hook-content formula: the product over the boxes u of
+    (n + c(u)) / h(u), where the content c(u) is the box's column less its
+    row and the hook h(u) counts the box, the boxes below it and those to
+    its right.  It shares no code with the enumerator, which makes it the
+    counting oracle the enumeration is checked against.  Validates
+    ``shape`` and ``n`` as :func:`enumerate_tableaux` does.
     """
     shape = _check_shape(shape, n)
-    if not shape:
-        return 1
-    if shape[0] > n:
-        return 0
-    dp = {col: 1 for col in combinations(range(1, n + 1), shape[0])}
-    for length in shape[1:]:
-        nxt = {}
-        for col in combinations(range(1, n + 1), length):
-            total = 0
-            for prev, ways in dp.items():
-                if all(prev[r] <= col[r] for r in range(length)):
-                    total += ways
-            if total:
-                nxt[col] = total
-        dp = nxt
-    return sum(dp.values())
+    top = bottom = 1
+    for i, length in enumerate(shape):
+        for r in range(length):
+            top *= n + i - r
+            bottom *= length - r + sum(1 for later in shape[i + 1:] if later > r)
+    return top // bottom
 
 
 # -- skew tableaux ---------------------------------------------------------

@@ -3,7 +3,9 @@ import gc
 import itertools
 import os
 import subprocess
+import re
 import sys
+import types
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -183,6 +185,26 @@ class TestRightKey:
         assert code == 2
         assert err == "internal error: RuntimeError('first line\\nsecond line')\n"
 
+    def test_faulty_kernel_result_exit_2(self, capsys, monkeypatch):
+        # The input is valid, so a key that breaks a tableau rule is a bug.
+        kernel = scanning._kernel
+        reversed_columns = types.SimpleNamespace(
+            scan_columns=lambda cols, starts: [c[::-1] for c in kernel.scan_columns(cols, starts)],
+            left_columns=kernel.left_columns,
+        )
+        monkeypatch.setattr(scanning, "_kernel", reversed_columns)
+        code, out, err = run(capsys, monkeypatch, ["right-key"], stdin="1 2\n3 4\n")
+        assert (code, out) == (2, "")
+        assert err == (
+            "internal error: NonDecreasingColumn('column 1 not strictly increasing at row 2')\n"
+        )
+
+    def test_bad_tableau_still_exit_1(self, capsys, monkeypatch):
+        for argv in (["right-key", "--oracle"], ["left-key", "--oracle", "--explain"]):
+            code, out, err = run(capsys, monkeypatch, argv, stdin="2 1\n")
+            assert (code, out) == (1, ""), argv
+            assert err == "error: row 1 decreases between columns 1 and 2\n", argv
+
     def test_output_round_trips(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["right-key"], stdin="1 2\n2\n")
         code2, out2, _ = run(capsys, monkeypatch, ["right-key"], stdin=out)
@@ -218,6 +240,13 @@ class TestLeftKey:
         assert code == 2
         assert out == "n=3\n1 2\n2\n"
         assert err == "DISAGREE\nn=3\n1 3\n2\n"
+
+    def test_faulty_oracle_result_exit_2(self, capsys, monkeypatch):
+        # A valid tableau that is not a key: its complement breaks row 1.
+        monkeypatch.setattr(jdt, "right_key_oracle", lambda t: Tableau(((1,), (2,)), 3))
+        code, out, err = run(capsys, monkeypatch, ["left-key", "--oracle"], stdin="1 2\n")
+        assert (code, out) == (2, "n=2\n1 1\n")
+        assert err == "internal error: DecreasingRow('row 1 decreases between columns 1 and 2')\n"
 
 
 class TestVerify:
@@ -772,6 +801,13 @@ class TestUsage:
     def test_help_exits_0(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["--help"])
         assert code == 0 and out.startswith("usage: keyscan")
+
+    @pytest.mark.parametrize("command", ["right-key", "left-key"])
+    def test_key_help_describes_every_argument(self, capsys, monkeypatch, command):
+        code, out, _ = run(capsys, monkeypatch, [command, "--help"])
+        assert code == 0
+        for name in ("file", "--explain", "--oracle"):
+            assert re.search(rf"^  {name} +\S", out, re.M), (name, out)
 
 
 class TestParser:

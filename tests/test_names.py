@@ -5,7 +5,9 @@ README and benchmark scripts import by name; a deletion that breaks one
 of them fails here rather than in a later benchmark run.  The layer
 benchmark ``benchmarks/bench_scan.py`` is also run once on tiny inputs,
 and the start-up benchmark ``benchmarks/bench_startup.py`` twice per
-case, with this checkout on both sides.
+case, with this checkout on both sides.  The Tier-1 timing script
+``benchmarks/tier1_runs.py`` only prints its usage here: a run of it is a
+run of this suite.
 """
 
 import ast
@@ -16,6 +18,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import keyscan
@@ -144,3 +147,15 @@ def test_bench_startup_runs(tmp_path):
         "import keyscan.cli", "right-key", "left-key", "demazure --engine scan",
         "verify --max-boxes 3 --max-entry 3",
     }
+
+
+def test_tier1_runs_prints_usage():
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/tier1_runs.py", "--help"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: tier1_runs.py [-h] --parent PARENT --change CHANGE")
+    assert elapsed < 0.5, elapsed

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from keyscan.tableau import (
     is_shape,
     parse_tableau,
 )
+from keyscan.demazure import demazure_character
 from keyscan.verify import shapes_up_to
 
 from helpers import census, large_tableaux, rows_from_scratch
@@ -311,12 +314,46 @@ class TestEnumeration:
                 list(enumerate_tableaux(shape, n))
             assert str(counted.value) == str(enumerated.value)
 
-    def test_counts_match_dp_oracle(self):
+    def test_counts_match_hook_content(self):
         for shape in shapes_up_to(8, 6):
             for n in range(1, 7):
                 assert len(list(enumerate_tableaux(shape, n))) == count_tableaux(
                     shape, n
                 ), (shape, n)
+
+
+class TestHookContent:
+    """``count_tableaux`` against closed forms and a second enumerator, at
+    sizes the enumeration tests do not reach."""
+
+    def test_one_column_is_a_binomial(self):
+        for n in range(1, 41):
+            for length in range(1, 46):
+                assert count_tableaux((length,), n) == math.comb(n, length), (length, n)
+
+    def test_one_row_is_a_multiset_count(self):
+        for n in range(1, 41):
+            for m in range(0, 41):
+                assert count_tableaux((1,) * m, n) == math.comb(n + m - 1, m), (m, n)
+
+    def test_three_by_four_rectangle(self):
+        # The value of the column-by-column dynamic program this formula replaced.
+        assert count_tableaux((4, 4, 4), 14) == 33157124
+
+    def test_schur_at_ones_through_demazure(self):
+        # At the longest permutation the character is the Schur polynomial,
+        # whose coefficients sum to the number of tableaux.  demazure_character
+        # builds those tableaux column by column, not by enumerate_tableaux.
+        n = 4
+        w0 = tuple(range(n, 0, -1))
+        for mu in sorted(mu for mu in shapes_up_to(5) if len(mu) <= n):
+            total = sum(demazure_character(mu, w0, n).terms.values())
+            assert total == count_tableaux(conjugate(mu), n), mu
+
+    def test_empty_shape(self):
+        for n in range(1, 6):
+            assert count_tableaux((), n) == 1
+            assert list(enumerate_tableaux((), n)) == [Tableau((), n)]
 
 
 def test_conjugate():
