@@ -147,22 +147,28 @@ def _cmd_demazure(args):
     from . import demazure
 
     mu, w, n = _int_list(args.mu), _int_list(args.w), args.n
-    if args.all_engines:
-        by_scan = demazure.demazure_character(mu, w, n, engine="scan")
-        by_oracle = demazure.demazure_character(mu, w, n, engine="oracle")
-        by_ops = demazure.demazure_by_operators(mu, w, n)
-        sys.stdout.write(demazure.format_polynomial(by_scan))
-        if by_scan == by_oracle == by_ops:
-            _err("ENGINES AGREE\n")
-            return 0
-        _err("ENGINES DISAGREE\n")
-        for name, p in (("oracle", by_oracle), ("recursion", by_ops)):
-            _err(f"-- {name}:\n" + demazure.format_polynomial(p))
-        return 2
-    if args.engine == "recursion":
-        p = demazure.demazure_by_operators(mu, w, n)
-    else:
-        p = demazure.demazure_character(mu, w, n, engine=args.engine)
+    try:
+        if args.all_engines:
+            by_scan = demazure.demazure_character(mu, w, n, engine="scan")
+            by_oracle = demazure.demazure_character(mu, w, n, engine="oracle")
+            by_ops = demazure.demazure_by_operators(mu, w, n)
+            sys.stdout.write(demazure.format_polynomial(by_scan))
+            if by_scan == by_oracle == by_ops:
+                _err("ENGINES AGREE\n")
+                return 0
+            _err("ENGINES DISAGREE\n")
+            for name, p in (("oracle", by_oracle), ("recursion", by_ops)):
+                _err(f"-- {name}:\n" + demazure.format_polynomial(p))
+            return 2
+        if args.engine == "recursion":
+            p = demazure.demazure_by_operators(mu, w, n)
+        else:
+            p = demazure.demazure_character(mu, w, n, engine=args.engine)
+    except TableauError as exc:
+        # The engines check their input first; if the input passes the
+        # same checks again, the error came from a result: a fault.
+        demazure.compose(w, mu, n)
+        raise _Fault from exc
     sys.stdout.write(demazure.format_polynomial(p))
     return 0
 
@@ -268,7 +274,7 @@ def main(argv=None) -> int:
         return code
     except TableauError as exc:
         code, message = 1, f"error: {exc}"
-    except _Fault as exc:  # a key or oracle result broke a tableau rule
+    except _Fault as exc:  # a key, oracle or engine result broke a tableau rule
         code, message = 2, f"internal error: {exc.__cause__!r}"
     except MemoryError:  # the input asks for more than this machine holds
         code, message = 1, "error: out of memory"

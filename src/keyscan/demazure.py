@@ -10,11 +10,15 @@ Three routes to the same polynomial:
   right key, the unpruned reference;
 * the isobaric divided-difference recursion along a reduced word of w.
 
-All arithmetic is exact integer arithmetic on sparse exponent maps.
+All arithmetic is exact integer arithmetic on sparse exponent maps.  The
+first route counts each weight as one packed int, one digit per variable,
+and unpacks each distinct weight once, when the count is done.
 """
 
 from __future__ import annotations
 
+import functools
+import struct
 import sys
 from collections import Counter
 from operator import gt
@@ -140,12 +144,15 @@ def key_of_composition(parts) -> Tableau:
         raise EmptyComposition("composition needs at least one positive part")
     if any(p < 0 for p in parts):
         raise EmptyComposition(f"negative part in {parts}")
-    n = len(parts)
-    cols = tuple(
-        tuple(i for i in range(1, n + 1) if parts[i - 1] >= j)
-        for j in range(1, max(parts) + 1)
+    return Tableau(_key_columns(parts), len(parts))
+
+
+def _key_columns(parts):
+    """The columns of the key of the composition ``parts`` (nonnegative
+    ints, not all 0), unchecked."""
+    return tuple(
+        tuple(i for i, p in enumerate(parts, 1) if p >= j) for j in range(1, max(parts) + 1)
     )
-    return Tableau(cols, n)
 
 
 def _check_nvars(n):
@@ -228,32 +235,56 @@ def demazure_character(mu, w, n: int, engine: str = "scan") -> SparsePolynomial:
     parts = compose(w, mu, n)
     if not any(parts):
         return SparsePolynomial.monomial(parts)
-    key = key_of_composition(parts)
-    weights: Counter = Counter()
     if engine == "scan":
-        k = len(key.columns)
-        _extend(k - 1, [()] * k, key.columns, [0] * n, weights, 0,
-                scanning._kernel.scan_columns, {})
-    else:
-        # Imported here: only the oracle engine runs jeu de taquin.
-        from . import jdt
+        # compose has checked the parts, so the key needs no checks.
+        bound = _key_columns(parts)
+        k = len(bound)
+        shift, unpack, size = _packing(n, k)
+        codes: Counter = Counter()
+        _extend(k - 1, [()] * k, bound, 0, codes, 0, scanning._kernel.scan_columns, {}, n, shift)
+        # Descending codes are descending exponent tuples, so the terms
+        # reach format_polynomial already sorted.
+        return SparsePolynomial(n, {unpack(c.to_bytes(size, "big")): codes[c]
+                                    for c in sorted(codes, reverse=True)})
+    # Imported here: only the oracle engine runs jeu de taquin.
+    from . import jdt
 
-        weights.update(
-            t.weight()
-            for t in enumerate_tableaux(key.shape, n)
-            if entrywise_leq(jdt.right_key_oracle(t), key)
-        )
+    key = key_of_composition(parts)
+    weights = Counter(
+        t.weight()
+        for t in enumerate_tableaux(key.shape, n)
+        if entrywise_leq(jdt.right_key_oracle(t), key)
+    )
     return SparsePolynomial(n, dict(weights))
 
 
+@functools.lru_cache(maxsize=64)
+def _packing(n, k):
+    """How the weight of a tableau with k columns and entries <= n packs
+    into one int, its code: variable x_e is the digit ``shift`` * (n - e)
+    bits up, and ``unpack`` reads the code's ``size`` big-endian bytes
+    back as the n exponents.
+
+    An exponent counts the columns that hold its entry, so it is at most
+    k, and each digit is the fewest bytes (1, 2, 4 or 8) that hold k; k
+    is a length, so it is below 256**8.  With x_1 the most significant
+    digit, codes sort as their exponent tuples do.
+    """
+    width = next(d for d in (1, 2, 4, 8) if k < 256**d)
+    digit = {1: "B", 2: "H", 4: "I", 8: "Q"}[width]
+    return 8 * width, struct.Struct(f">{n}{digit}").unpack, width * n
+
+
 # Module level rather than a closure: a closure that calls itself is a
-# reference cycle, which would keep ``weights`` alive until the next
+# reference cycle, which would keep ``codes`` alive until the next
 # garbage collection and raise the peak memory of repeated calls.
-def _extend(i, cols, bound, weight, weights, top, scan_columns, candidates):
-    """Count in ``weights`` the weight of every tableau T of the shape of
-    the key ``bound`` with K+(T) <= bound whose columns after i are
-    ``cols[i + 1:]``; ``weight`` holds the weight of those columns and
-    ``top`` their largest entry (0 when there are none).
+def _extend(i, cols, bound, code, codes, top, scan_columns, candidates, n, shift):
+    """Count in ``codes`` the code (see ``_packing``) of the weight of
+    every tableau T of the shape of the key ``bound``, entries <= n, with
+    K+(T) <= bound whose columns after i are ``cols[i + 1:]``; ``code``
+    is the code of the weight of those columns and ``top`` their largest
+    entry (0 when there are none).  The weight of a column adds
+    1 << ``shift`` * (n - e) to the code for each entry e.
 
     Column i of the scanning tableau reads only columns i.. of T, so
     K+(T)[i:] = K+(T[i:]) and the condition splits into one test per
@@ -272,28 +303,35 @@ def _extend(i, cols, bound, weight, weights, top, scan_columns, candidates):
     character makes no scan at all.
 
     The candidates for column i depend only on ``upper``, so they are
-    built once per ``upper`` and kept in ``candidates`` for the call.
+    built once per ``upper``, with the code of each, and kept in
+    ``candidates`` for the call.  Their largest bottom entry is upper[-1]
+    (any candidate can end there), so when max(top, upper[-1]) <= b[0] +
+    l - 1 none of them would be scanned; at column 0 the whole list is
+    then counted by one C-level ``Counter.update``.
     """
     b = bound[i]
     right = cols[i + 1] if i + 1 < len(cols) else ()
     upper = tuple(map(min, right, b)) + b[len(right):]
-    column_list = candidates.get(upper)
-    if column_list is None:
-        column_list = candidates[upper] = _columns_of_length(len(b), len(weight), (), upper)
+    entry = candidates.get(upper)
+    if entry is None:
+        column_list = _columns_of_length(len(b), n, (), upper)
+        entry = candidates[upper] = (column_list, [
+            sum(1 << shift * (n - e) for e in col) for col in column_list])
+    column_list, column_codes = entry
     unscanned = b[0] + len(b) - 1
-    for col in column_list:
+    if not i and top <= unscanned and upper[-1] <= unscanned:
+        codes.update(map(code.__add__, column_codes))
+        return
+    for col, col_code in zip(column_list, column_codes):
         cols[i] = col
-        m = max(top, col[-1])
+        m = col[-1] if col[-1] > top else top
         if m > unscanned and any(map(gt, scan_columns(cols[i:], (0,))[0], b)):
             continue
-        for e in col:
-            weight[e - 1] += 1
         if i:
-            _extend(i - 1, cols, bound, weight, weights, m, scan_columns, candidates)
+            _extend(i - 1, cols, bound, code + col_code, codes, m, scan_columns,
+                    candidates, n, shift)
         else:
-            weights[tuple(weight)] += 1
-        for e in col:
-            weight[e - 1] -= 1
+            codes[code + col_code] += 1
 
 
 def demazure_by_operators(mu, w, n: int, pick_last: bool = False) -> SparsePolynomial:

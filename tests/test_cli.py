@@ -522,6 +522,25 @@ class TestDemazure:
         assert (code, out) == (0, "1 0 0\n")
         assert "ENGINES AGREE" in err
 
+    @pytest.mark.parametrize("engine", [["--engine", "oracle"], ["--all-engines"]])
+    def test_faulty_oracle_result_exit_2(self, capsys, monkeypatch, engine):
+        # A key of the wrong shape: entrywise_leq raises ShapeMismatch.
+        monkeypatch.setattr(jdt, "right_key_oracle", lambda t: Tableau(((1,),), 3))
+        argv = ["demazure", "--mu", "2,1", "--w", "2,1,3", "--n", "3"] + engine
+        code, out, err = run(capsys, monkeypatch, argv)
+        assert (code, out) == (2, "")
+        assert err == "internal error: ShapeMismatch('shapes (1,) and (2, 1) differ')\n"
+
+    @pytest.mark.parametrize("engine", [["--engine", "oracle"], ["--all-engines"]])
+    def test_bad_input_with_faulty_oracle_still_exit_1(self, capsys, monkeypatch, engine):
+        monkeypatch.setattr(jdt, "right_key_oracle", lambda t: Tableau(((1,),), 3))
+        for args, message in (
+            (["--mu", "2,1", "--w", "2,2,3"], "(2, 2, 3) is not a permutation of 1..3"),
+            (["--mu", "2,1,1,1", "--w", "2,1,3"], "partition (2, 1, 1, 1) has more than n=3 rows"),
+        ):
+            code, out, err = run(capsys, monkeypatch, ["demazure", *args, "--n", "3", *engine])
+            assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_bad_permutation_exit_1(self, capsys, monkeypatch):
         code, _, err = run(
             capsys,

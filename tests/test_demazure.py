@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -10,6 +11,7 @@ from keyscan.demazure import (
     BadDimensions,
     EmptyComposition,
     SparsePolynomial,
+    _extend,
     compose,
     demazure_by_operators,
     demazure_character,
@@ -361,4 +363,46 @@ class TestScanSkip:
         monkeypatch.setattr(scanning, "_kernel", SimpleNamespace(scan_columns=counted))
         mu, w, n = (3, 2, 1), (1, 2, 4, 3, 5), 5
         assert demazure_character(mu, w, n) == demazure_by_operators(mu, w, n)
-        assert calls
+        # Every scan, by suffix length: counting a list at once must never
+        # replace a scan that could drop a suffix.
+        assert calls == [3]
+        calls.clear()
+        mu, w, n = (3, 2, 1), (3, 5, 4, 1, 2, 6), 6  # the benchmark's random class
+        assert demazure_character(mu, w, n) == demazure_by_operators(mu, w, n)
+        assert calls == [2] * 6
+
+    def test_pruned_leaf_list_counts_nothing(self):
+        # Key column (2, 4) has five candidates.  A suffix holding a 4
+        # (top = 4 > 2 + 2 - 1) makes every one of them a scan, and a
+        # kernel that exceeds the key drops them all.
+        def exceeds(cols, starts):
+            return [(5, 5)]
+
+        codes = Counter()
+        _extend(0, [()], ((2, 4),), 0, codes, 4, exceeds, {}, 4, 8)
+        assert codes == Counter()
+
+    def test_scan_free_leaf_list_counted_at_once(self):
+        # Key column (3, 4): max(top, 4) <= 3 + 2 - 1, so the six
+        # candidates are counted without a scan, each by its own weight.
+        def refuse(cols, starts):
+            raise AssertionError("scan made for a list that cannot be pruned")
+
+        codes = Counter()
+        _extend(0, [()], ((3, 4),), 0, codes, 4, refuse, {}, 4, 8)
+        cols = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+        assert codes == Counter(
+            sum(1 << 8 * (4 - e) for e in col) for col in cols
+        )
+
+
+class TestDigitWidth:
+    """A weight packs one digit per variable, one byte while the key has
+    fewer than 256 columns and two bytes from 256 on."""
+
+    @pytest.mark.parametrize("m", [255, 256])
+    def test_exponent_fills_its_digit(self, m):
+        # The filling with only 1s gives x_1 the exponent m.
+        p = demazure_character((m,), (2, 1), 2)
+        assert p == demazure_by_operators((m,), (2, 1), 2)
+        assert p.coefficient((m, 0)) == 1 and len(p.terms) == m + 1
