@@ -2,8 +2,15 @@
 
 Generates random semistandard tableaux of a given size and times, on
 both kernels, the full right key (every start column of the scanning
-tableau) and the full left key (every end column), checking first that
-the kernels agree; a disagreement exits with an error.
+tableau) and the full left key (every end column), then the index sets
+that ``scanning_tableau`` and ``left_key`` pass: the last column of each
+run of equal lengths but the last run, and the first column of each run
+but the first run (a tableau with one run makes no call).  Last come
+``scanning_tableau`` and ``left_key`` themselves, as the CLI runs them:
+each builds its key ``Tableau``, which validates it.  Each case checks
+first that the kernels agree; a disagreement exits with an error.  Run
+with ``PYTHONPATH`` set to another checkout's ``src``, the script times
+that checkout's kernels and wrappers on the same inputs.
 
 The kernels take turns: each repeat times both, in an order that
 alternates from repeat to repeat, so a slow spell of the host falls on
@@ -44,14 +51,33 @@ def random_tableau_columns(k, height, rng):
     return cols
 
 
-# (kernel entry point, what it computes when given every column index)
-ENTRY_POINTS = (("scan_columns", "right key"), ("left_columns", "left key"))
+def every_column(lengths):
+    return range(len(lengths))
 
 
-def time_once(fn, inputs):
+def run_ends(lengths):
+    """The start columns ``scanning_tableau`` asks the kernel for."""
+    return [s for s in range(len(lengths) - 1) if lengths[s + 1] != lengths[s]]
+
+
+def run_starts(lengths):
+    """The end columns ``left_key`` asks the kernel for."""
+    return [c for c in range(1, len(lengths)) if lengths[c - 1] != lengths[c]]
+
+
+# (kernel entry point, what it computes, the indices it is given)
+CASES = (
+    ("scan_columns", "right key", every_column),
+    ("left_columns", "left key", every_column),
+    ("scan_columns", "right key, run ends", run_ends),
+    ("left_columns", "left key, run starts", run_starts),
+)
+
+
+def time_once(fn, calls):
     start = time.perf_counter()
-    for cols in inputs:
-        fn(cols, range(len(cols)))
+    for args in calls:
+        fn(*args)
     return time.perf_counter() - start
 
 
@@ -86,19 +112,37 @@ def main():
     else:
         kernels["compiled"] = _scankernel
 
-    for entry, label in ENTRY_POINTS:
+    # Imported here: perfbench loads this file only for random_tableau_columns.
+    from keyscan import scanning
+    from keyscan.tableau import Tableau
+
+    cases = []
+    for entry, label, pick in CASES:
         fns = {name: getattr(kernel, entry) for name, kernel in kernels.items()}
-        for cols in inputs:
-            every = range(len(cols))
-            if len({tuple(fn(cols, every)) for fn in fns.values()}) > 1:
-                raise SystemExit(f"kernels disagree on the {label}")
+        calls = [(cols, indices) for cols in inputs
+                 if (indices := pick([len(col) for col in cols]))]
+        cases.append((f"{label} ({entry})", fns, calls))
+    tableaux = [(Tableau(tuple(map(tuple, cols)), max(col[-1] for col in cols)),)
+                for cols in inputs]
+    for fn in (scanning.scanning_tableau, scanning.left_key):
+        cases.append((f"{fn.__name__}, whole", dict.fromkeys(kernels, fn), tableaux))
+
+    for label, fns, calls in cases:
+        # The wrappers call scanning's kernel; the kernel cases ignore it.
+        results = []
+        for name, fn in fns.items():
+            scanning._kernel = kernels[name]
+            results.append([fn(*args) for args in calls])
+        if any(result != results[0] for result in results):
+            raise SystemExit(f"kernels disagree on {label}")
         times = {name: [] for name in fns}
         order = list(fns)
         for _ in range(args.repeats):
             for name in order:
-                times[name].append(time_once(fns[name], inputs))
+                scanning._kernel = kernels[name]
+                times[name].append(time_once(fns[name], calls))
             order.reverse()
-        print(f"{label} ({entry}):")
+        print(f"{label}: {len(calls)} calls")
         for name, values in times.items():
             print(f"  {name:9}: {spread(values, 1000)}")
         if "compiled" in times:

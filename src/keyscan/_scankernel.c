@@ -5,17 +5,23 @@
  * scan_columns(cols, starts) gives the scanning-tableau (right key)
  * columns at the 0-based start indices in starts, and
  * left_columns(cols, ends) the left-key columns at the 0-based indices in
- * ends.  An index outside 0..len(cols) - 1 raises IndexError.  Entries
- * are read into C long longs; a call with an entry that does not fit, or
- * whose left walk finds no entry to pick (which only a non-semistandard
- * input causes), is handed to keyscan._scan_py, so any Python int is
- * answered correctly and a bad input raises the pure kernel's error.
+ * ends.  cols are the columns of a semistandard tableau and the indices
+ * are strictly increasing.  An index outside 0..len(cols) - 1 raises
+ * IndexError.  Entries are read into C long longs; a call with an entry
+ * that does not fit, or whose left walk finds no entry to pick (which
+ * only a non-semistandard input causes), is handed to keyscan._scan_py,
+ * so any Python int is answered correctly and a bad input raises the
+ * pure kernel's error.
  *
- * Both scans run column-major, like the pure kernel: every pass is
- * carried along at once, and each column is visited once for all of
- * them.  scan_start offers a column's bottom alive box to the passes in
- * turn; in left_end the picks of successive passes strictly decrease, so
- * one bottom-to-top walk of each column serves every pass.
+ * Both scans run column-major: every pass of one index is carried along
+ * at once, and each column is visited once for all of them.  scan_start
+ * offers a column's bottom alive box to the passes in turn; in left_end
+ * the picks of successive passes strictly decrease, so one bottom-to-top
+ * walk of each column serves every pass.  Unlike the pure kernel, which
+ * sweeps once for all indices as nested level sets, this kernel scans
+ * each index on its own, so it also answers inputs outside the contract
+ * (an empty column, a later column taller than the start) by the
+ * paper's passes.
  *
  * Selected by keyscan.scanning whenever it is importable; setup.py builds
  * it with a plain C compiler.

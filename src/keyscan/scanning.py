@@ -9,11 +9,20 @@ Two interchangeable kernels compute key columns: a compiled extension
 (``keyscan._scankernel``), used whenever it is importable, and a
 pure-Python fallback (``keyscan._scan_py``).  Both offer
 ``scan_columns(cols, starts)`` for the right key and
-``left_columns(cols, ends)`` for the left key.  Both kernels run every
-pass at once, column by column, which gives the same answers as the
-paper's pass-by-pass order: a pass's choice in a column depends only on
-its own previous member and on what earlier passes left there.  The
-traces behind ``--explain``, one entry per pass, come from
+``left_columns(cols, ends)`` for the left key, at strictly increasing
+indices into the columns of a semistandard tableau.  Both kernels run
+every pass of an index at once, column by column, which gives the same
+answers as the paper's pass-by-pass order: a pass's choice in a column
+depends only on its own previous member and on what earlier passes left
+there.  The pure kernel also carries every index of a call in one sweep,
+as nested sets (see ``keyscan._scan_py``).
+
+Columns of equal length are equal in a key, so :func:`scanning_tableau`
+and :func:`left_key` ask for one column per run of equal lengths, and
+none for the right key's last run or the left key's first run: those
+key columns are the last and the first column of the tableau itself.
+
+The traces behind ``--explain``, one entry per pass, come from
 :func:`scan_trace` and :func:`left_trace`, which read the paper's scans
 one pass after another; the tests check both kernels against them.
 """
@@ -85,13 +94,16 @@ def scanning_tableau(t: Tableau) -> Tableau:
 
     Columns of equal length are equal in a key, so only the last column
     of each run of equal lengths is scanned (its suffix is the shortest)
-    and copied to the rest of the run.
+    and copied to the rest of the run.  The last run's column is the last
+    column of ``t``, which has nothing to its right, so it is not scanned.
     """
-    shape = t.shape
-    ends = [s for s in range(t.k) if s + 1 == t.k or shape[s + 1] != shape[s]]
+    cols = t.columns
+    lengths = [*map(len, cols)]
+    ends = [s for s in range(len(cols) - 1) if lengths[s + 1] != lengths[s]]
     out: list = []
-    for end, col in zip(ends, _kernel.scan_columns(t.columns, ends)):
+    for end, col in zip(ends, _kernel.scan_columns(cols, ends) if ends else ()):
         out.extend([col] * (end + 1 - len(out)))
+    out.extend(cols[-1:] * (len(cols) - len(out)))
     return Tableau(tuple(out), t.n)
 
 
@@ -123,11 +135,14 @@ def scan_trace(t: Tableau) -> list[list[tuple[int, ...]]]:
 def left_key(t: Tableau) -> Tableau:
     """The left key of ``t`` by the direct scanning method.  Column c reads
     only columns ..c, so each run of equal lengths is computed at its
-    first column, whose prefix is the shortest, and copied."""
-    shape = t.shape
-    firsts = [c for c in range(t.k) if c == 0 or shape[c - 1] != shape[c]]
+    first column, whose prefix is the shortest, and copied.  The first
+    run's column is the first column of ``t``, so it is not scanned."""
+    cols = t.columns
+    lengths = [*map(len, cols)]
+    firsts = [c for c in range(1, len(cols)) if lengths[c - 1] != lengths[c]]
+    key = [*cols[:1], *(_kernel.left_columns(cols, firsts) if firsts else ())]
     out: list = []
-    for nxt, col in zip(firsts[1:] + [t.k], _kernel.left_columns(t.columns, firsts)):
+    for nxt, col in zip(firsts + [len(cols)], key):
         out.extend([col] * (nxt - len(out)))
     return Tableau(tuple(out), t.n)
 

@@ -157,3 +157,37 @@ def swap_variables(p: SparsePolynomial, i: int) -> SparsePolynomial:
 
 def is_symmetric_in(p: SparsePolynomial, i: int) -> bool:
     return p == swap_variables(p, i)
+
+
+def dense_tableaux(count=200, seed=8):
+    """``count`` seeded tableaux of 9 to about 100 boxes, dense in ties:
+    about 70% of the entries sit at their lower bound (one more than the
+    entry above, and no less than the entry to the left), the rest one or
+    two above it, and the entry bound is the largest entry or one more.
+    Columns are up to 12 long, so entries below row 5 are above 5.  Every
+    50th tableau, from the first, has a run of 20 to 24 equal column
+    lengths between longer and shorter columns, so that both keys compute
+    one column for the run and copy it to the whole run."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        height = rng.randint(2, 12)
+        if len(out) % 50 == 0:
+            run = rng.randint(2, 4)
+            lengths = [run] * rng.randint(20, 24)
+            lengths += [run + rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+            lengths += [rng.randint(1, run - 1) for _ in range(rng.randint(1, 3))]
+        else:
+            lengths = [rng.randint(1, height) for _ in range(rng.randint(2, 16))]
+        lengths.sort(reverse=True)
+        if sum(lengths) < 9:
+            continue
+        cols = []
+        for c, length in enumerate(lengths):
+            col = []
+            for r in range(length):
+                lo = max(col[-1] + 1 if col else 1, cols[c - 1][r] if c else 1)
+                col.append(lo if rng.random() < 0.7 else lo + rng.randint(1, 2))
+            cols.append(tuple(col))
+        out.append(Tableau(tuple(cols), max(col[-1] for col in cols) + rng.randint(0, 1)))
+    return out

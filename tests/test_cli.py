@@ -187,13 +187,15 @@ class TestRightKey:
 
     def test_faulty_kernel_result_exit_2(self, capsys, monkeypatch):
         # The input is valid, so a key that breaks a tableau rule is a bug.
+        # Two column lengths, so that the first column is scanned: the
+        # last one is the key's own last column.
         kernel = scanning._kernel
         reversed_columns = types.SimpleNamespace(
             scan_columns=lambda cols, starts: [c[::-1] for c in kernel.scan_columns(cols, starts)],
             left_columns=kernel.left_columns,
         )
         monkeypatch.setattr(scanning, "_kernel", reversed_columns)
-        code, out, err = run(capsys, monkeypatch, ["right-key"], stdin="1 2\n3 4\n")
+        code, out, err = run(capsys, monkeypatch, ["right-key"], stdin="1 2\n3\n")
         assert (code, out) == (2, "")
         assert err == (
             "internal error: NonDecreasingColumn('column 1 not strictly increasing at row 2')\n"

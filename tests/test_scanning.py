@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, groupby
 from unittest import mock
 
 import pytest
@@ -23,7 +24,7 @@ from keyscan.scanning import (
 from keyscan.tableau import Tableau, entrywise_leq, parse_tableau
 
 from conftest import EXAMPLE_KEY_TEXT
-from helpers import census
+from helpers import census, dense_tableaux
 
 
 def key_column(passes):
@@ -67,18 +68,29 @@ def tall_or_wide_columns(draw):
     return tuple(tuple(base + e for e in col) for col in cols)
 
 
-def seeded_columns(lengths, rng):
+def seeded_columns(lengths, rng, spread=2):
     """Columns of a random semistandard tableau with column lengths
-    ``lengths``, each entry 0 to 2 above the larger of its upper and left
-    neighbours, so that many entries tie along a row."""
+    ``lengths``, each entry 0 to ``spread`` above its lower bound (one
+    more than the entry above, and no less than the entry to the left),
+    so that many entries tie along a row."""
     cols = []
     for c, length in enumerate(lengths):
         col = []
         for r in range(length):
             lo = max(col[-1] + 1 if col else 1, cols[c - 1][r] if c else 1)
-            col.append(lo + rng.randint(0, 2))
+            col.append(lo + rng.randint(0, spread))
         cols.append(tuple(col))
     return cols
+
+
+def wrapper_indices(cols):
+    """The indices that ``scanning_tableau`` and ``left_key`` ask the
+    kernel for: each run's last column but the last run's, and each run's
+    first column but the first run's."""
+    lengths = [len(col) for col in cols]
+    ends = [s for s in range(len(cols) - 1) if lengths[s + 1] != lengths[s]]
+    firsts = [c for c in range(1, len(cols)) if lengths[c - 1] != lengths[c]]
+    return ends, firsts
 
 
 class TestEwis:
@@ -194,20 +206,22 @@ class TestKernels:
                 assert compiled_kernel.scan_columns(cols, starts) == (
                     _scan_py.scan_columns(cols, starts)
                 )
-        # Not tableaux, but inside the kernels' contract.
-        # In the last two, a later column is taller than the start column.
+        # Not tableaux, so outside the contract, which the pure kernel's
+        # sweep relies on; the compiled kernel scans each start on its own
+        # and still matches the paper's passes.  In the last two, a later
+        # column is taller than the start column.
         for cols in ([(1,), (), (2,)], [(), (1,)], [(1,), (1, 2, 3)], [(2,), (), (1, 3)]):
             every = range(len(cols))
             assert compiled_kernel.scan_columns(cols, every) == (
-                _scan_py.scan_columns(cols, every)
-            ) == [passwise_scan_column(cols, s) for s in every]
+                [passwise_scan_column(cols, s) for s in every]
+            )
         with pytest.raises(TypeError):
             compiled_kernel.scan_columns([(1, 2.5)], (0,))
 
     @settings(max_examples=150, deadline=None)
     @given(tall_or_wide_columns(), st.data())
     def test_compiled_matches_pure_fuzzed(self, compiled_kernel, cols, data):
-        starts = data.draw(st.lists(st.integers(0, len(cols) - 1), max_size=6))
+        starts = sorted(set(data.draw(st.lists(st.integers(0, len(cols) - 1), max_size=6))))
         for s in (starts, range(len(cols))):
             assert compiled_kernel.scan_columns(cols, s) == _scan_py.scan_columns(cols, s)
         t = Tableau(cols, max(col[-1] for col in cols))
@@ -217,7 +231,7 @@ class TestKernels:
     @settings(max_examples=150, deadline=None)
     @given(tall_or_wide_columns(), st.data())
     def test_compiled_left_matches_pure_fuzzed(self, compiled_kernel, cols, data):
-        ends = data.draw(st.lists(st.integers(0, len(cols) - 1), max_size=6))
+        ends = sorted(set(data.draw(st.lists(st.integers(0, len(cols) - 1), max_size=6))))
         for e in (ends, range(len(cols))):
             assert compiled_kernel.left_columns(cols, e) == _scan_py.left_columns(cols, e)
         t = Tableau(cols, max(col[-1] for col in cols))
@@ -248,23 +262,30 @@ class TestKernels:
         shapes = [sorted((rng.choice((30, 27, 21, 14, 6)) for _ in range(40)), reverse=True)
                   for _ in range(2)]
         shapes += [sorted(rng.sample(range(1, 31), 24), reverse=True) for _ in range(2)]
-        cases = [(cols, range(len(cols))) for cols in (seeded_columns(l, rng) for l in shapes)]
-        # An empty column, inside the kernels' contract: right scans pass
-        # over it, and left walks that reach it run past its top.
-        cols = cases[-1][0][:10] + [()] + cases[-1][0][10:]
-        cases.append((cols, range(11)))
+        for cols in (seeded_columns(l, rng) for l in shapes):
+            every = range(len(cols))
+            right = [passwise_scan_column(cols, s) for s in every]
+            left = [passwise_left_column(cols, e) for e in every]
+            for kernel in kernels:
+                assert kernel.scan_columns(cols, every) == right
+                assert kernel.left_columns(cols, every) == left
+        # An empty column, so not a tableau: the compiled kernel's right
+        # scans pass over it, and left walks that reach it run past its top
+        # in both kernels.
+        cols = cols[:10] + [()] + cols[10:]
         with pytest.raises(InternalInvariantError):
             left_passes(cols, 11)
         for kernel in kernels:
             with pytest.raises(InternalInvariantError):
                 kernel.left_columns(cols, (11,))
-        for cols, ends in cases:
+        for kernel in kernels[1:]:  # the compiled kernel, when it can be built
             every = range(len(cols))
-            right = [passwise_scan_column(cols, s) for s in every]
-            left = [passwise_left_column(cols, e) for e in ends]
-            for kernel in kernels:
-                assert kernel.scan_columns(cols, every) == right
-                assert kernel.left_columns(cols, ends) == left
+            assert kernel.scan_columns(cols, every) == (
+                [passwise_scan_column(cols, s) for s in every]
+            )
+            assert kernel.left_columns(cols, range(11)) == (
+                [passwise_left_column(cols, e) for e in range(11)]
+            )
 
     def test_one_contract(self, kernels):
         # Key columns only: no kernel takes a third argument.
@@ -288,6 +309,59 @@ class TestKernels:
             for cols in ([(2,), (1,)], [(2, 3), (1, 2)], [(2**70,), (1,)]):
                 with pytest.raises(InternalInvariantError):
                     kernel.left_columns(cols, (len(cols) - 1,))
+
+
+class TestSweep:
+    """The pure kernel sweeps once for all the indices of a call, as
+    nested level sets; each index must still get the paper's column."""
+
+    def test_every_index_subset_on_census(self):
+        for t in census(6, 4):
+            cols, every = t.columns, range(t.k)
+            right = [passwise_scan_column(cols, s) for s in every]
+            left = [passwise_left_column(cols, e) for e in every]
+            for size in range(t.k + 1):
+                for sub in combinations(every, size):
+                    assert _scan_py.scan_columns(cols, sub) == [right[s] for s in sub]
+                    assert _scan_py.left_columns(cols, sub) == [left[e] for e in sub]
+
+    def test_many_levels_long_runs_and_ties(self):
+        """36 distinct column lengths, so up to 36 levels at once; runs of
+        20 and 22 equal lengths; and spread 0, where every entry sits at
+        its lower bound and ties run along the rows."""
+        rng = random.Random(1110)
+        shapes = [sorted(rng.sample(range(1, 41), 36), reverse=True),
+                  [9] * 3 + [7] * 22 + [4] * 20 + [2] * 5]
+        for lengths in shapes:
+            for spread in (0, 1, 2):
+                cols = seeded_columns(lengths, rng, spread)
+                every = range(len(cols))
+                right = [passwise_scan_column(cols, s) for s in every]
+                left = [passwise_left_column(cols, e) for e in every]
+                ends, firsts = wrapper_indices(cols)
+                subset = sorted(rng.sample(every, len(cols) // 2))
+                for indices in (every, ends, subset):
+                    assert _scan_py.scan_columns(cols, indices) == [right[s] for s in indices]
+                for indices in (every, firsts, subset):
+                    assert _scan_py.left_columns(cols, indices) == [left[e] for e in indices]
+
+
+class TestDenseOracle:
+    def test_dense_tableaux_match_both_oracles(self, kernels):
+        """Both keys against jeu de taquin beyond the census: longer
+        columns, larger entries, many ties and long runs of equal
+        lengths, under every kernel."""
+        ts = dense_tableaux()
+        assert len(ts) == 200 and min(sum(t.shape) for t in ts) > 8
+        assert max(max(col) for t in ts for col in t.columns) > 5
+        assert max(t.shape[0] for t in ts) > 5
+        assert max(len(list(run)) for t in ts for _, run in groupby(t.shape)) >= 20
+        for t in ts:
+            right, left = right_key_oracle(t), left_key_oracle(t)
+            for kernel in kernels:
+                with mock.patch.object(scanning, "_kernel", kernel):
+                    assert scanning_tableau(t) == right
+                    assert left_key(t) == left
 
 
 class TestLeftKey:
