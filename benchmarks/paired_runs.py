@@ -7,7 +7,7 @@ Every run is a fresh interpreter with ``PYTHONDONTWRITEBYTECODE=1``, so
 setup is timed as in a new checkout.
 The summary gives, per workload and end-to-end metric, the median and
 quartiles of each side and the number of pairs the change won, plus the
-command, the scanning kernel, the Python version and the core count.
+command, each side's scanning kernel, the Python version and the core count.
 
 Usage (from the repository root):
 
@@ -77,7 +77,7 @@ def main():
     report = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
         "pairs": args.pairs,
-        "kernel": kernel_name(args.change),
+        "kernel": {side: kernel_name(path) for side, path in checkouts.items()},
         "python": platform.python_implementation() + " " + platform.python_version(),
         "cpu_count": os.cpu_count(),
         "workloads": {},

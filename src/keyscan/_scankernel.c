@@ -1,17 +1,19 @@
 /* Compiled scanning kernel.
  *
- * Same contract as keyscan._scan_py, with two entry points, each
- * returning a list of tuples of ints, in the order of its indices:
+ * Its contract is the one in the keyscan._scan_py docstring, and it
+ * makes no other promise.  Two entry points, each returning a list of
+ * tuples of ints, in the order of its indices:
  * scan_columns(cols, starts) gives the scanning-tableau (right key)
  * columns at the 0-based start indices in starts, and
  * left_columns(cols, ends) the left-key columns at the 0-based indices in
  * ends.  cols are the columns of a semistandard tableau and the indices
  * are strictly increasing.  An index outside 0..len(cols) - 1 raises
- * IndexError.  Entries are read into C long longs; a call with an entry
- * that does not fit, or whose left walk finds no entry to pick (which
- * only a non-semistandard input causes), is handed to keyscan._scan_py,
- * so any Python int is answered correctly and a bad input raises the
- * pure kernel's error.
+ * IndexError.  Entries are read into C long longs, column by column: one
+ * that is not an int raises TypeError, and a call with an entry that does
+ * not fit, or whose left walk finds no entry to pick (which only a
+ * non-semistandard input causes), is handed to keyscan._scan_py, so an
+ * entry of any size is answered and such a bad input raises the pure
+ * kernel's error.
  *
  * Both scans run column-major: every pass of one index is carried along
  * at once, and each column is visited once for all of them.  scan_start
@@ -19,9 +21,7 @@
  * the picks of successive passes strictly decrease, so one bottom-to-top
  * walk of each column serves every pass.  Unlike the pure kernel, which
  * sweeps once for all indices as nested level sets, this kernel scans
- * each index on its own, so it also answers inputs outside the contract
- * (an empty column, a later column taller than the start) by the
- * paper's passes.
+ * each index on its own.
  *
  * Selected by keyscan.scanning whenever it is importable; setup.py builds
  * it with a plain C compiler.

@@ -10,12 +10,13 @@ Two interchangeable kernels compute key columns: a compiled extension
 pure-Python fallback (``keyscan._scan_py``).  Both offer
 ``scan_columns(cols, starts)`` for the right key and
 ``left_columns(cols, ends)`` for the left key, at strictly increasing
-indices into the columns of a semistandard tableau.  Both kernels run
-every pass of an index at once, column by column, which gives the same
-answers as the paper's pass-by-pass order: a pass's choice in a column
-depends only on its own previous member and on what earlier passes left
-there.  The pure kernel also carries every index of a call in one sweep,
-as nested sets (see ``keyscan._scan_py``).
+indices into the columns of a semistandard tableau; that contract, in
+the ``keyscan._scan_py`` docstring, is all either kernel promises.
+Both kernels run every pass of an index at once, column by column, which
+gives the same answers as the paper's pass-by-pass order: a pass's
+choice in a column depends only on its own previous member and on what
+earlier passes left there.  The pure kernel also carries every index of
+a call in one sweep, as nested sets (see ``keyscan._scan_py``).
 
 Columns of equal length are equal in a key, so :func:`scanning_tableau`
 and :func:`left_key` ask for one column per run of equal lengths, and
@@ -24,7 +25,8 @@ key columns are the last and the first column of the tableau itself.
 
 The traces behind ``--explain``, one entry per pass, come from
 :func:`scan_trace` and :func:`left_trace`, which read the paper's scans
-one pass after another; the tests check both kernels against them.
+one pass after another with :func:`right_passes` and :func:`left_passes`.
+The tests hold every kernel to those passes, never to the other kernel.
 """
 
 from __future__ import annotations

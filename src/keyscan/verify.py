@@ -126,10 +126,6 @@ def check_tableau(t: Tableau, check_swaps: bool = False,
             fail("scanning tableau is not a key")
         if not entrywise_leq(t, s):
             fail("tableau not entrywise <= its right key")
-        shape = t.shape
-        for i in range(1, t.k):
-            if shape[i] == shape[i - 1] and s.columns[i] != s.columns[i - 1]:
-                fail(f"equal-length columns {i} and {i + 1} of the right key differ")
 
         lk = scanning.left_key(t)
         rk_dual = _right_key(jdt.reversal_dual(t), memo)[0]

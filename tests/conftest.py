@@ -57,9 +57,10 @@ def compiled_kernel(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def kernels(request):
-    """The pure kernel, then the compiled one when it can be built: a
-    check that holds for both still runs on the pure kernel without a C
-    compiler."""
+    """The pure kernel, then the compiled one when it can be built.  Each
+    kernel test runs on every kernel here and compares it with the
+    paper's passes or the jdt oracles, never with the other kernel, so
+    without a C compiler the pure kernel still meets every check."""
     try:
         return (_scan_py, request.getfixturevalue("compiled_kernel"))
     except pytest.skip.Exception:

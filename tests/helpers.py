@@ -35,16 +35,24 @@ def large_tableaux(count=200, seed=23):
         lengths.sort(reverse=True)
         if not 20 <= sum(lengths) <= 100:
             continue
-        cols = []
-        for c, length in enumerate(lengths):
-            col = []
-            for r in range(length):
-                above = col[-1] + 1 if col else 1
-                left = cols[c - 1][r] if c else 1
-                col.append(max(above, left) + rng.randint(0, 2))
-            cols.append(tuple(col))
+        cols = seeded_columns(lengths, rng)
         out.append(Tableau(tuple(cols), max(col[-1] for col in cols) + rng.randint(0, 2)))
     return out
+
+
+def seeded_columns(lengths, rng, spread=2):
+    """Columns of a random semistandard tableau with column lengths
+    ``lengths``, each entry 0 to ``spread`` above its lower bound (one
+    more than the entry above, and no less than the entry to the left),
+    so that many entries tie along a row."""
+    cols = []
+    for c, length in enumerate(lengths):
+        col = []
+        for r in range(length):
+            lo = max(col[-1] + 1 if col else 1, cols[c - 1][r] if c else 1)
+            col.append(lo + rng.randint(0, spread))
+        cols.append(tuple(col))
+    return cols
 
 
 def rows_from_scratch(t):

@@ -515,6 +515,17 @@ class TestDemazure:
         assert "ENGINES AGREE" in err
         assert out == "1 2 0\n1 1 1\n1 0 2\n"
 
+    def test_engines_disagree_exit_2(self, capsys, monkeypatch):
+        from keyscan import demazure
+
+        argv = ["demazure", "--mu", "2,1", "--w", "2,1,3", "--n", "3"]
+        _, expected, _ = run(capsys, monkeypatch, argv)
+        wrong = demazure.SparsePolynomial(3, {(3, 0, 0): 1})
+        monkeypatch.setattr(demazure, "demazure_by_operators", lambda mu, w, n: wrong)
+        code, out, err = run(capsys, monkeypatch, argv + ["--all-engines"])
+        assert (code, out) == (2, expected)
+        assert err == f"ENGINES DISAGREE\n-- oracle:\n{expected}-- recursion:\n1 3 0 0\n"
+
     def test_empty_partition_all_engines(self, capsys, monkeypatch):
         code, out, err = run(
             capsys,

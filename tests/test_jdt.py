@@ -202,6 +202,8 @@ class TestLengthSwap:
         for cols in [((2, (3, 5, 6)), (1, (5, 6))), ((2, (1,)), (0, ()))]:
             with pytest.raises(BadIndex):
                 length_swap(SkewTableau(cols), 1)
+        with pytest.raises(BadIndex, match="^column 1 shorter than column 2;"):
+            length_swap(SkewTableau(((1, (2,)), (0, (1, 3)))), 1)
 
     def test_two_case_bottom_rule(self):
         for t in census(5, 4):

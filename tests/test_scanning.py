@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keyscan import _scan_py, scanning
+from keyscan import scanning
 from keyscan.jdt import left_key_oracle, right_key_oracle
 from keyscan.scanning import (
     EmptySequence,
@@ -24,7 +24,7 @@ from keyscan.scanning import (
 from keyscan.tableau import Tableau, entrywise_leq, parse_tableau
 
 from conftest import EXAMPLE_KEY_TEXT
-from helpers import census, dense_tableaux
+from helpers import census, dense_tableaux, seeded_columns
 
 
 def key_column(passes):
@@ -66,21 +66,6 @@ def tall_or_wide_columns(draw):
         cols.append(col)
     base = draw(st.sampled_from([0, 2**31 - 40, 2**63 - 40, 2**64 + 7]))
     return tuple(tuple(base + e for e in col) for col in cols)
-
-
-def seeded_columns(lengths, rng, spread=2):
-    """Columns of a random semistandard tableau with column lengths
-    ``lengths``, each entry 0 to ``spread`` above its lower bound (one
-    more than the entry above, and no less than the entry to the left),
-    so that many entries tie along a row."""
-    cols = []
-    for c, length in enumerate(lengths):
-        col = []
-        for r in range(length):
-            lo = max(col[-1] + 1 if col else 1, cols[c - 1][r] if c else 1)
-            col.append(lo + rng.randint(0, spread))
-        cols.append(tuple(col))
-    return cols
 
 
 def wrapper_indices(cols):
@@ -197,53 +182,21 @@ class TestKernels:
     def test_active_kernel_reported(self):
         assert kernel_name() in ("compiled", "pure")
 
-    def test_compiled_matches_pure(self, compiled_kernel):
-        for t in census(6, 4):
-            cols = t.columns
-            shape = t.shape
-            distinct = [s for s in range(t.k) if s + 1 == t.k or shape[s + 1] != shape[s]]
-            for starts in [range(t.k), distinct, *([s] for s in range(t.k))]:
-                assert compiled_kernel.scan_columns(cols, starts) == (
-                    _scan_py.scan_columns(cols, starts)
-                )
-        # Not tableaux, so outside the contract, which the pure kernel's
-        # sweep relies on; the compiled kernel scans each start on its own
-        # and still matches the paper's passes.  In the last two, a later
-        # column is taller than the start column.
-        for cols in ([(1,), (), (2,)], [(), (1,)], [(1,), (1, 2, 3)], [(2,), (), (1, 3)]):
-            every = range(len(cols))
-            assert compiled_kernel.scan_columns(cols, every) == (
-                [passwise_scan_column(cols, s) for s in every]
-            )
-        with pytest.raises(TypeError):
-            compiled_kernel.scan_columns([(1, 2.5)], (0,))
-
     @settings(max_examples=150, deadline=None)
     @given(tall_or_wide_columns(), st.data())
-    def test_compiled_matches_pure_fuzzed(self, compiled_kernel, cols, data):
-        starts = sorted(set(data.draw(st.lists(st.integers(0, len(cols) - 1), max_size=6))))
-        for s in (starts, range(len(cols))):
-            assert compiled_kernel.scan_columns(cols, s) == _scan_py.scan_columns(cols, s)
+    def test_kernels_match_passwise_fuzzed(self, kernels, cols, data):
+        indices = sorted(set(data.draw(st.lists(st.integers(0, len(cols) - 1), max_size=6))))
+        every = range(len(cols))
+        right = [passwise_scan_column(cols, s) for s in every]
+        left = [passwise_left_column(cols, e) for e in every]
         t = Tableau(cols, max(col[-1] for col in cols))
-        with mock.patch.object(scanning, "_kernel", compiled_kernel):
-            assert scanning_tableau(t) == passwise_scanning_tableau(t)
-
-    @settings(max_examples=150, deadline=None)
-    @given(tall_or_wide_columns(), st.data())
-    def test_compiled_left_matches_pure_fuzzed(self, compiled_kernel, cols, data):
-        ends = sorted(set(data.draw(st.lists(st.integers(0, len(cols) - 1), max_size=6))))
-        for e in (ends, range(len(cols))):
-            assert compiled_kernel.left_columns(cols, e) == _scan_py.left_columns(cols, e)
-        t = Tableau(cols, max(col[-1] for col in cols))
-        with mock.patch.object(scanning, "_kernel", compiled_kernel):
-            assert left_key(t).columns == tuple(
-                passwise_left_column(cols, e) for e in range(len(cols))
-            )
-        # The first entry read, so that no entry too wide for C hands the
-        # call to the pure kernel first.
-        bad = [(float(cols[0][0]),) + cols[0][1:], *cols[1:]]
-        with pytest.raises(TypeError):
-            compiled_kernel.left_columns(bad, range(len(cols)))
+        for kernel in kernels:
+            for sub in (indices, every):
+                assert kernel.scan_columns(cols, sub) == [right[s] for s in sub]
+                assert kernel.left_columns(cols, sub) == [left[e] for e in sub]
+            with mock.patch.object(scanning, "_kernel", kernel):
+                assert scanning_tableau(t).columns == tuple(right)
+                assert left_key(t).columns == tuple(left)
 
     def test_both_kernels_match_passwise_on_census(self, kernels):
         for t in census(7, 5):
@@ -269,23 +222,14 @@ class TestKernels:
             for kernel in kernels:
                 assert kernel.scan_columns(cols, every) == right
                 assert kernel.left_columns(cols, every) == left
-        # An empty column, so not a tableau: the compiled kernel's right
-        # scans pass over it, and left walks that reach it run past its top
-        # in both kernels.
+        # An empty column, so not a tableau: left walks that reach it run
+        # past its top in every kernel.
         cols = cols[:10] + [()] + cols[10:]
         with pytest.raises(InternalInvariantError):
             left_passes(cols, 11)
         for kernel in kernels:
             with pytest.raises(InternalInvariantError):
                 kernel.left_columns(cols, (11,))
-        for kernel in kernels[1:]:  # the compiled kernel, when it can be built
-            every = range(len(cols))
-            assert kernel.scan_columns(cols, every) == (
-                [passwise_scan_column(cols, s) for s in every]
-            )
-            assert kernel.left_columns(cols, range(11)) == (
-                [passwise_left_column(cols, e) for e in range(11)]
-            )
 
     def test_one_contract(self, kernels):
         # Key columns only: no kernel takes a third argument.
@@ -303,6 +247,11 @@ class TestKernels:
                     kernel.scan_columns(cols, indices)
                 with pytest.raises(IndexError):
                     kernel.left_columns(cols, indices)
+        for kernel in kernels[1:]:  # the compiled kernel reads entries as C integers
+            with pytest.raises(TypeError):
+                kernel.scan_columns([(1, 2.5)], (0,))
+            with pytest.raises(TypeError):
+                kernel.left_columns([(1.5,), (2,)], (1,))
 
     def test_left_walk_past_the_top_raises(self, kernels):
         for kernel in kernels:
@@ -312,20 +261,22 @@ class TestKernels:
 
 
 class TestSweep:
-    """The pure kernel sweeps once for all the indices of a call, as
-    nested level sets; each index must still get the paper's column."""
+    """Each index of a call gets the paper's column, whatever the other
+    indices: the pure kernel sweeps once for all of them as nested level
+    sets, the compiled one scans each on its own."""
 
-    def test_every_index_subset_on_census(self):
+    def test_every_index_subset_on_census(self, kernels):
         for t in census(6, 4):
             cols, every = t.columns, range(t.k)
             right = [passwise_scan_column(cols, s) for s in every]
             left = [passwise_left_column(cols, e) for e in every]
             for size in range(t.k + 1):
                 for sub in combinations(every, size):
-                    assert _scan_py.scan_columns(cols, sub) == [right[s] for s in sub]
-                    assert _scan_py.left_columns(cols, sub) == [left[e] for e in sub]
+                    for kernel in kernels:
+                        assert kernel.scan_columns(cols, sub) == [right[s] for s in sub]
+                        assert kernel.left_columns(cols, sub) == [left[e] for e in sub]
 
-    def test_many_levels_long_runs_and_ties(self):
+    def test_many_levels_long_runs_and_ties(self, kernels):
         """36 distinct column lengths, so up to 36 levels at once; runs of
         20 and 22 equal lengths; and spread 0, where every entry sits at
         its lower bound and ties run along the rows."""
@@ -340,10 +291,11 @@ class TestSweep:
                 left = [passwise_left_column(cols, e) for e in every]
                 ends, firsts = wrapper_indices(cols)
                 subset = sorted(rng.sample(every, len(cols) // 2))
-                for indices in (every, ends, subset):
-                    assert _scan_py.scan_columns(cols, indices) == [right[s] for s in indices]
-                for indices in (every, firsts, subset):
-                    assert _scan_py.left_columns(cols, indices) == [left[e] for e in indices]
+                for kernel in kernels:
+                    for indices in (every, ends, subset):
+                        assert kernel.scan_columns(cols, indices) == [right[s] for s in indices]
+                    for indices in (every, firsts, subset):
+                        assert kernel.left_columns(cols, indices) == [left[e] for e in indices]
 
 
 class TestDenseOracle:

@@ -209,6 +209,9 @@ class TestTextFormat:
     def test_nonpositive_entry_rejected(self):
         with pytest.raises(TableauSyntaxError, match="line 1"):
             parse_tableau("1 0\n")
+        with pytest.raises(TableauSyntaxError) as info:
+            parse_tableau("n=0\n1\n")
+        assert str(info.value) == "line 1: entry bound must be positive"
 
     def test_junk_rejected(self):
         with pytest.raises(TableauSyntaxError, match="column 2"):
