@@ -7,7 +7,9 @@ Every run is a fresh interpreter with ``PYTHONDONTWRITEBYTECODE=1``, so
 setup is timed as in a new checkout.
 The summary gives, per workload and end-to-end metric, the median and
 quartiles of each side and the number of pairs the change won, plus the
-command, each side's scanning kernel, the Python version and the core count.
+command, each side's commit (``git rev-parse HEAD``, null when the checkout
+is not the top of a git work tree; uncommitted edits are not recorded),
+each side's scanning kernel, the Python version and the core count.
 
 Usage (from the repository root):
 
@@ -44,6 +46,19 @@ def kernel_name(checkout):
                           text=True, check=True).stdout.strip()
 
 
+def commit(checkout):
+    """The commit checked out at ``checkout``, or None outside git."""
+    try:
+        proc = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=checkout,
+                              capture_output=True, text=True)
+    except OSError:  # no git program
+        return None
+    lines = proc.stdout.split()
+    if proc.returncode or Path(lines[0]).resolve() != Path(checkout).resolve():
+        return None  # not a work tree, or a directory inside another one
+    return lines[1]
+
+
 def summarise(runs, metrics):
     """Median, quartiles and the change's wins for every metric."""
     out = {}
@@ -77,6 +92,7 @@ def main():
     report = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
         "pairs": args.pairs,
+        "commit": {side: commit(path) for side, path in checkouts.items()},
         "kernel": {side: kernel_name(path) for side, path in checkouts.items()},
         "python": platform.python_implementation() + " " + platform.python_version(),
         "cpu_count": os.cpu_count(),

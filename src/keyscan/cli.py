@@ -12,6 +12,11 @@ verification counterexample.
 
 Each handler imports the modules it runs, so a subcommand loads only
 what it needs, and reads their functions off the module at call time.
+
+A command line that starts with a subcommand is parsed once, by that
+subcommand's own parser; the full parser reads every other command line,
+and one that the subcommand's parser leaves words of, so that usage and
+help text have one source.
 """
 
 from __future__ import annotations
@@ -206,23 +211,35 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
+def _subparsers() -> dict:
+    """Each subcommand's own parser by name, as ``build_parser`` made it."""
+    return {}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process and shared by every call."""
+    """The CLI's parser, built once per process and shared by every call;
+    it fills ``_subparsers``."""
     parser = _Parser(
         prog="keyscan",
         description="Right and left keys of semistandard tableaux, "
         "with jeu de taquin verification and Demazure characters.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    parsers = _subparsers()
 
-    p = sub.add_parser("right-key", help="right key by the scanning method")
+    def sub(name, **kwargs):
+        parsers[name] = subparsers.add_parser(name, **kwargs)
+        return parsers[name]
+
+    p = sub("right-key", help="right key by the scanning method")
     p.add_argument("file", nargs="?", help="tableau file (default: stdin)")
     p.add_argument("--explain", action="store_true", help="print EWIS passes to stderr")
     p.add_argument("--oracle", action="store_true", help="cross-check against jeu de taquin")
     p.set_defaults(func=_cmd_key, key="scanning_tableau", trace="scan_trace", label="start",
                    key_oracle="right_key_oracle")
 
-    p = sub.add_parser("left-key", help="left key by the scanning method")
+    p = sub("left-key", help="left key by the scanning method")
     p.add_argument("file", nargs="?", help="tableau file (default: stdin)")
     p.add_argument("--explain", action="store_true",
                    help="print each pass's picks, right to left, to stderr")
@@ -230,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_key, key="left_key", trace="left_trace", label="end",
                    key_oracle="left_key_oracle")
 
-    p = sub.add_parser("verify", help="exhaustive sweep against the oracles")
+    p = sub("verify", help="exhaustive sweep against the oracles")
     p.add_argument("--max-boxes", type=int, required=True)
     p.add_argument("--max-entry", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
@@ -238,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also check frankness/rectification at every length swap")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("demazure", help="Demazure character (key polynomial)")
+    p = sub("demazure", help="Demazure character (key polynomial)")
     p.add_argument("--mu", required=True, help="partition, e.g. 2,1")
     p.add_argument("--w", required=True, help="permutation images, e.g. 3,1,2")
     p.add_argument("--n", type=int, required=True)
@@ -247,12 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--all-engines", action="store_true")
     p.set_defaults(func=_cmd_demazure)
 
-    p = sub.add_parser("schur", help="Schur polynomial as a tableau sum")
+    p = sub("schur", help="Schur polynomial as a tableau sum")
     p.add_argument("--mu", required=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_schur)
 
-    p = sub.add_parser("enumerate", help="all semistandard tableaux of a shape")
+    p = sub("enumerate", help="all semistandard tableaux of a shape")
     p.add_argument("--shape", required=True, help="column lengths, e.g. 2,1")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_enumerate)
@@ -260,12 +277,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv):
+    """The namespace of ``argv``, as the full parser reads it.  A command
+    line that starts with a subcommand is read by that subcommand's parser
+    alone, as the full parser would hand it over; the full parser reads
+    every other one, and one with words left over, and reports it."""
+    parser = build_parser()
+    own = _subparsers().get(argv[0]) if argv else None
+    if own is not None:
+        args, rest = own.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     try:
         if sys.stdout is None:  # file descriptor 1 was closed at start
             raise OSError("standard output is closed")
         try:
-            args = build_parser().parse_args(argv)
+            args = _parse(sys.argv[1:] if argv is None else list(argv))
         except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
             code = 1 if exc.code else 0
         else:

@@ -241,7 +241,7 @@ def demazure_character(mu, w, n: int, engine: str = "scan") -> SparsePolynomial:
         k = len(bound)
         shift, unpack, size = _packing(n, k)
         codes: Counter = Counter()
-        _extend(k - 1, [()] * k, bound, 0, codes, 0, scanning._kernel.scan_columns, {}, n, shift)
+        _extend(k - 1, [()] * k, bound, 0, codes, 0, scanning._kernel.scan_columns, n, shift)
         # Descending codes are descending exponent tuples, so the terms
         # reach format_polynomial already sorted.
         return SparsePolynomial(n, {unpack(c.to_bytes(size, "big")): codes[c]
@@ -275,10 +275,23 @@ def _packing(n, k):
     return 8 * width, struct.Struct(f">{n}{digit}").unpack, width * n
 
 
+# Enough for every upper bound of n = 6 (one per nonempty subset of 1..6).
+_CANDIDATE_TABLES = 64
+
+
+@functools.lru_cache(maxsize=_CANDIDATE_TABLES)
+def _candidates(upper, n, shift):
+    """The columns entrywise <= ``upper`` with entries <= n, and the
+    code of each (1 << ``shift`` * (n - e) per entry e; see ``_packing``),
+    as two tuples: shared by every call, so no call can change them."""
+    column_list = tuple(_columns_of_length(len(upper), n, (), upper))
+    return column_list, tuple([sum(1 << shift * (n - e) for e in col) for col in column_list])
+
+
 # Module level rather than a closure: a closure that calls itself is a
 # reference cycle, which would keep ``codes`` alive until the next
 # garbage collection and raise the peak memory of repeated calls.
-def _extend(i, cols, bound, code, codes, top, scan_columns, candidates, n, shift):
+def _extend(i, cols, bound, code, codes, top, scan_columns, n, shift):
     """Count in ``codes`` the code (see ``_packing``) of the weight of
     every tableau T of the shape of the key ``bound``, entries <= n, with
     K+(T) <= bound whose columns after i are ``cols[i + 1:]``; ``code``
@@ -302,22 +315,18 @@ def _extend(i, cols, bound, code, codes, top, scan_columns, candidates, n, shift
     1..n every key column is n - l + 1..n, so b[0] + l - 1 = n and its
     character makes no scan at all.
 
-    The candidates for column i depend only on ``upper``, so they are
-    built once per ``upper``, with the code of each, and kept in
-    ``candidates`` for the call.  Their largest bottom entry is upper[-1]
-    (any candidate can end there), so when max(top, upper[-1]) <= b[0] +
-    l - 1 none of them would be scanned; at column 0 the whole list is
-    then counted by one C-level ``Counter.update``.
+    The candidates for column i depend only on ``upper``, n and
+    ``shift``, so ``_candidates`` builds them once per process for each
+    such triple.  ``shift`` is part of the key because the digit width
+    grows with k.  Their largest bottom entry is upper[-1] (any candidate
+    can end there), so when max(top, upper[-1]) <= b[0] + l - 1 none of
+    them would be scanned; at column 0 the whole list is then counted by
+    one C-level ``Counter.update``.
     """
     b = bound[i]
     right = cols[i + 1] if i + 1 < len(cols) else ()
     upper = tuple(map(min, right, b)) + b[len(right):]
-    entry = candidates.get(upper)
-    if entry is None:
-        column_list = _columns_of_length(len(b), n, (), upper)
-        entry = candidates[upper] = (column_list, [
-            sum(1 << shift * (n - e) for e in col) for col in column_list])
-    column_list, column_codes = entry
+    column_list, column_codes = _candidates(upper, n, shift)
     unscanned = b[0] + len(b) - 1
     if not i and top <= unscanned and upper[-1] <= unscanned:
         codes.update(map(code.__add__, column_codes))
@@ -328,8 +337,7 @@ def _extend(i, cols, bound, code, codes, top, scan_columns, candidates, n, shift
         if m > unscanned and any(map(gt, scan_columns(cols[i:], (0,))[0], b)):
             continue
         if i:
-            _extend(i - 1, cols, bound, code + col_code, codes, m, scan_columns,
-                    candidates, n, shift)
+            _extend(i - 1, cols, bound, code + col_code, codes, m, scan_columns, n, shift)
         else:
             codes[code + col_code] += 1
 

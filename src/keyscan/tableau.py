@@ -125,8 +125,12 @@ class Tableau(_Frozen):
         if not is_shape(map(len, columns)):
             raise RaggedShape(f"column lengths {tuple(map(len, columns))} do not form a shape")
         # Column 1 is its own left neighbour, so its row test never fails.
+        # A later column that is the very object to its left has passed
+        # every test already, and equal neighbours keep the row rule.
         left = columns[0] if columns else ()
         for i, col in enumerate(columns):
+            if col is left and i:
+                continue
             above = 0
             for r, e in enumerate(col):
                 if type(e) is not int or e < 1 or e > n:

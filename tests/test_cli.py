@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import keyscan
-from keyscan import jdt, scanning, verify
+from keyscan import cli, jdt, scanning, verify
 from keyscan.tableau import Tableau, TableauError, parse_tableau
 from keyscan.cli import build_parser, main
 
@@ -830,6 +830,16 @@ class TestUsage:
             assert (code, out) == (1, ""), argv
             assert err.startswith("usage: keyscan") and "error:" in err, argv
 
+    def test_leftover_arguments_exit_1(self, capsys, monkeypatch):
+        # A word the subcommand's parser leaves is reported by the full
+        # parser, under the top-level usage line.
+        for argv in (["right-key", "a", "b"], ["right-key", "--bogus"],
+                     ["enumerate", "--shape", "1", "--n", "1", "extra"]):
+            code, out, err = run(capsys, monkeypatch, argv)
+            assert (code, out) == (1, ""), argv
+            assert err.startswith(build_parser().format_usage()), argv
+            assert "error: unrecognized arguments:" in err, argv
+
     def test_help_exits_0(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["--help"])
         assert code == 0 and out.startswith("usage: keyscan")
@@ -843,6 +853,65 @@ class TestUsage:
 
 
 class TestParser:
+    # Each command line is read as the full parser reads it, whether it
+    # takes the subcommand's own parser or falls back to the full one.
+    ARGVS = [
+        ["right-key"],
+        ["right-key", "-"],
+        ["right-key", "--", "file"],
+        ["right-key", "--", "--explain"],
+        ["right-key", "a", "b"],
+        ["right-key", "--bogus"],
+        ["right-key", "--expl"],
+        ["right-key", "--explain", "--bogus", "-h"],
+        ["left-key", "--oracle"],
+        ["left-key", "-h"],
+        ["demazure", "--mu=2,1", "--w=2,1", "--n=2"],
+        ["demazure", "--mu", "2,1", "--w", "2,1", "--n", "2", "--eng", "scan"],
+        ["demazure", "--mu", "2,1", "--w", "2,1", "--n", "2", "--", "x"],
+        ["demazure", "--mu", "1", "--w", "1", "--n", "abc"],
+        ["demazure", "--mu", "1", "--w", "1"],
+        ["demazure", "--mu", "1", "--w", "1", "--n", "1", "--engine", "oracle",
+         "--all-engines"],
+        ["demazure", "--help"],
+        ["schur", "--mu", "2", "--n", "3", "--n", "2"],
+        ["verify", "--max-boxes", "2", "--max-entry", "2"],
+        ["verify", "--max-boxes", "2"],
+        ["enumerate", "--shape", "2,1", "--n", "3"],
+        ["enumerate", "--shape", "2,1", "--n", "3", "extra"],
+        ["enumerate", "--shape", "1", "--n", "1", "--shape"],
+        ["frobnicate"],
+        ["right", "-h"],
+        [],
+        ["--help"],
+        ["-h", "right-key"],
+    ]
+
+    def test_same_as_full_parser(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        build_parser()
+        for argv in self.ARGVS:
+            fast = run(capsys, monkeypatch, argv, stdin=EXAMPLE_T_TEXT)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_subparsers", dict)  # no subcommand's own parser
+                full = run(capsys, monkeypatch, argv, stdin=EXAMPLE_T_TEXT)
+            assert fast == full, argv
+
+    def test_same_namespace_as_full_parser(self):
+        for argv in (["right-key", "-", "--oracle"], ["left-key"],
+                     ["demazure", "--mu=2,1", "--w=2,1", "--n=2", "--all"],
+                     ["verify", "--max-boxes", "2", "--max-entry", "2", "--jobs", "2"]):
+            assert vars(cli._parse(argv)) == vars(build_parser().parse_args(argv)), argv
+
+    def test_subcommand_parsed_once(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("full parser used")
+
+        monkeypatch.setattr(build_parser(), "parse_args", refuse)
+        code, out, _ = run(capsys, monkeypatch, ["demazure", "--mu", "2,1", "--w", "2,1",
+                                                 "--n", "2"])
+        assert (code, out) == (0, "1 2 1\n1 1 2\n")
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

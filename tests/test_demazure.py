@@ -11,6 +11,7 @@ from keyscan.demazure import (
     BadDimensions,
     EmptyComposition,
     SparsePolynomial,
+    _candidates,
     _extend,
     compose,
     demazure_by_operators,
@@ -379,7 +380,7 @@ class TestScanSkip:
             return [(5, 5)]
 
         codes = Counter()
-        _extend(0, [()], ((2, 4),), 0, codes, 4, exceeds, {}, 4, 8)
+        _extend(0, [()], ((2, 4),), 0, codes, 4, exceeds, 4, 8)
         assert codes == Counter()
 
     def test_scan_free_leaf_list_counted_at_once(self):
@@ -389,7 +390,7 @@ class TestScanSkip:
             raise AssertionError("scan made for a list that cannot be pruned")
 
         codes = Counter()
-        _extend(0, [()], ((3, 4),), 0, codes, 4, refuse, {}, 4, 8)
+        _extend(0, [()], ((3, 4),), 0, codes, 4, refuse, 4, 8)
         cols = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
         assert codes == Counter(
             sum(1 << 8 * (4 - e) for e in col) for col in cols
@@ -406,3 +407,30 @@ class TestDigitWidth:
         p = demazure_character((m,), (2, 1), 2)
         assert p == demazure_by_operators((m,), (2, 1), 2)
         assert p.coefficient((m, 0)) == 1 and len(p.terms) == m + 1
+
+
+class TestCandidateCache:
+    """The candidate columns and their codes are kept per process, keyed
+    by upper bound, n and digit width."""
+
+    def test_digit_width_is_part_of_the_key(self):
+        # Both characters meet upper bound (1,) at n = 2, the first with
+        # 1-byte digits (k = 2), the second with 2-byte digits (k = 300).
+        _candidates.cache_clear()
+        for m in (2, 300):
+            assert demazure_character((m,), (2, 1), 2) == demazure_by_operators((m,), (2, 1), 2)
+
+    def test_tables_are_immutable(self):
+        columns, codes = _candidates((2, 3), 3, 8)
+        assert type(columns) is tuple and type(codes) is tuple
+        assert all(type(col) is tuple for col in columns)
+
+    def test_warm_and_cleared_cache_agree(self):
+        cases = TestDemazureCharacter.ENGINE_CASES
+        warm = [demazure_character(mu, w, n) for mu, w, n in cases]
+        assert _candidates.cache_info().hits
+        cold = []
+        for mu, w, n in cases:
+            _candidates.cache_clear()
+            cold.append(demazure_character(mu, w, n))
+        assert cold == warm

@@ -7,7 +7,8 @@ benchmark ``benchmarks/bench_scan.py`` is also run once on tiny inputs,
 and the start-up benchmark ``benchmarks/bench_startup.py`` twice per
 case, with this checkout on both sides.  The Tier-1 timing script
 ``benchmarks/tier1_runs.py`` only prints its usage here: a run of it is a
-run of this suite.
+run of this suite.  Of ``benchmarks/paired_runs.py``, which runs for
+minutes, only the commit it records for a checkout is checked.
 """
 
 import ast
@@ -16,10 +17,13 @@ import json
 import importlib.util
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 import keyscan
 from keyscan import scanning
@@ -159,3 +163,20 @@ def test_tier1_runs_prints_usage():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: tier1_runs.py [-h] --parent PARENT --change CHANGE")
     assert elapsed < 0.5, elapsed
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs the git program")
+def test_paired_runs_records_commit(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "paired_runs", ROOT / "benchmarks" / "paired_runs.py")
+    paired_runs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(paired_runs)
+    git = ["git", "-c", "user.name=k", "-c", "user.email=k@example.org"]
+    subprocess.run(git + ["init", "-q"], cwd=tmp_path, check=True)
+    assert paired_runs.commit(tmp_path) is None  # no commit yet
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "x"], cwd=tmp_path, check=True)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path, capture_output=True,
+                          text=True, check=True).stdout.strip()
+    assert paired_runs.commit(tmp_path) == head
+    (tmp_path / "sub").mkdir()
+    assert paired_runs.commit(tmp_path / "sub") is None  # inside a work tree, not its top

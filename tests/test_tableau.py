@@ -137,6 +137,33 @@ class TestValidation:
                 SkewTableau(cols)
             assert str(info.value) == message
 
+    def test_repeated_column_object_still_checked_first(self):
+        # A column that is the very object to its left is skipped, but
+        # never the first: its own violation is still named.
+        c = (2, 1)
+        with pytest.raises(NonDecreasingColumn) as info:
+            Tableau((c, c), 3)
+        assert str(info.value) == "column 1 not strictly increasing at row 2"
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(st.lists(entries, max_size=3), st.integers(1, 3)), max_size=3),
+           st.integers(1, 4))
+    def test_shared_columns_change_no_verdict(self, runs, n):
+        # A run of equal columns held as one object gives the same tableau,
+        # or the same first violation, as distinct copies of the column.
+        copies = tuple(tuple(col) for col, times in runs for _ in range(times))
+        shared = []
+        for col, times in runs:
+            shared += [tuple(col)] * times
+
+        def verdict(columns):
+            try:
+                return Tableau(columns, n)
+            except TableauError as exc:
+                return type(exc), str(exc)
+
+        assert verdict(tuple(shared)) == verdict(copies)
+
     def test_empty_column_stored_at_offset_0(self):
         # An empty column places no cell, so one offset stands for all.
         with pytest.raises(RaggedShape):
