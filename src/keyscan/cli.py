@@ -36,15 +36,20 @@ from .tableau import (
 
 
 def _read_tableau(path):
+    """The tableau in file ``path``, or on standard input for None or "-".
+    Both are decoded strictly as UTF-8 from bytes: under the POSIX locale
+    ``sys.stdin`` passes undecodable bytes on as surrogates."""
     stdin = path in (None, "-")
     try:
         if stdin:
             if sys.stdin is None:  # file descriptor 0 was closed at start
                 raise TableauError("standard input is closed")
-            text = sys.stdin.read()
+            # An io.StringIO (perfbench/run.py passes one) holds text, not bytes.
+            data = getattr(sys.stdin, "buffer", sys.stdin).read()
         else:
-            with open(path, encoding="utf-8") as f:
-                text = f.read()
+            with open(path, "rb") as f:
+                data = f.read()
+        text = data if isinstance(data, str) else data.decode("utf-8")
     except OSError as exc:
         raise TableauError(str(exc))
     except UnicodeDecodeError as exc:

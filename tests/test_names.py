@@ -8,7 +8,8 @@ and the start-up benchmark ``benchmarks/bench_startup.py`` twice per
 case, with this checkout on both sides.  The Tier-1 timing script
 ``benchmarks/tier1_runs.py`` only prints its usage here: a run of it is a
 run of this suite.  Of ``benchmarks/paired_runs.py``, which runs for
-minutes, only the commit it records for a checkout is checked.
+minutes, only the commit it records for a checkout is checked.  All three
+refuse a single pair before running anything.
 """
 
 import ast
@@ -147,10 +148,36 @@ def test_bench_startup_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "right-key: parent" in proc.stdout
     report = json.loads(out.read_text())
+    assert list(report) == ["command", "pairs", "commit", "kernel", "python", "cpu_count",
+                            "cases"]
+    assert report["pairs"] == 2
+    assert set(report["commit"]) == set(report["kernel"]) == {"parent", "change"}
     assert set(report["cases"]) == {
         "import keyscan.cli", "right-key", "left-key", "demazure --engine scan",
         "verify --max-boxes 3 --max-entry 3",
     }
+    for row in report["cases"].values():
+        assert 0 <= row["change_wins"] <= 2
+        for side in ("parent", "change"):
+            assert set(row[side]) == {"median", "q1", "q3", "runs"}
+            assert len(row[side]["runs"]) == 2
+
+
+@pytest.mark.parametrize("script, flag", [
+    ("paired_runs.py", "--pairs"), ("tier1_runs.py", "--pairs"), ("bench_startup.py", "--samples"),
+])
+def test_one_pair_refused(script, flag, tmp_path):
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, f"benchmarks/{script}", "--parent", str(ROOT), "--change", str(ROOT),
+         "--out", str(tmp_path / "out.json"), flag, "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 2, proc.stderr
+    assert f"error: argument {flag}: must be at least 2, got 1" in proc.stderr
+    assert not (tmp_path / "out.json").exists()
+    assert elapsed < 0.5, elapsed
 
 
 def test_tier1_runs_prints_usage():
