@@ -5,13 +5,14 @@ per workload, for the run length ``BENCHMARK.json`` sets.  Each pair has
 its own seed.  Every run is a fresh interpreter with
 ``PYTHONDONTWRITEBYTECODE=1``, so setup is timed as in a new checkout.
 The report gives, per workload and end-to-end metric, the median and
-quartiles of each side and the number of pairs the change won.  A run
-that fails stops the script with exit 1 and one ``error:`` line.
+quartiles of each side and the number of pairs the change won.
 
 This module is also where ``tier1_runs.py`` and ``bench_startup.py`` get
 how two checkouts are compared: the side order, which alternates from
-pair to pair (``alternate``); at least two pairs (``pair_count``); one
-summary per measure (``summary``); and the report header (``header``):
+pair to pair (``alternate``); at least two pairs (``pair_count``); a
+failed run, which stops the script with exit 1 and one ``error:`` line
+(``check``); one summary per measure (``summary``); and the report
+header (``header``):
 the command, the pair count, each side's commit (``git rev-parse HEAD``,
 null when the checkout is not the top of a git work tree; uncommitted
 edits are not recorded) and scanning kernel, the Python version and the
@@ -130,7 +131,7 @@ def main():
     ap.add_argument("--pairs", type=pair_count, default=10)
     ap.add_argument("--seed", type=int, default=1000)
     args = ap.parse_args()
-    checkouts = {"parent": args.parent, "change": args.change}
+    checkouts = {side: getattr(args, side) for side in SIDES}
     spec = json.loads((Path(args.change) / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     report = header(f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} "

@@ -32,7 +32,7 @@ COUNT = re.compile(r"(\d+) (passed|failed|skipped|errors?)\b")
 DURATION = re.compile(r"^(\d+(?:\.\d+)?)s (call|setup|teardown) +(\S.*)$", re.M)
 
 
-def run_once(checkout):
+def run_once(checkout, pair, side):
     """One Tier-1 run: wall time, outcome counts and slowest durations."""
     env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"))
     t0 = time.perf_counter()
@@ -43,6 +43,7 @@ def run_once(checkout):
     counts = {"passed": 0, "failed": 0, "skipped": 0, "errors": 0}
     for number, outcome in COUNT.findall(last):
         counts["errors" if outcome.startswith("error") else outcome] += int(number)
+    print(pair, side, round(wall, 3), last, file=sys.stderr)
     return {
         "wall_s": round(wall, 3),
         "exit_code": proc.returncode,
@@ -76,16 +77,10 @@ def main():
     ap.add_argument("--out", required=True)
     ap.add_argument("--pairs", type=pair_count, default=5)
     args = ap.parse_args()
-    checkouts = {"parent": args.parent, "change": args.change}
+    checkouts = {side: getattr(args, side) for side in SIDES}
     report = header("PYTHONPATH=<side>/src " + " ".join(["python", *PYTEST]), args.pairs,
                     checkouts)
-
-    def run(p, side):
-        result = run_once(checkouts[side])
-        print(p, side, result["wall_s"], result["summary"], file=sys.stderr)
-        return result
-
-    runs = alternate(args.pairs, run)
+    runs = alternate(args.pairs, lambda p, side: run_once(checkouts[side], p, side))
     report["summary"] = {"wall_s": summary(runs, lambda r: r["wall_s"]),
                          **{side: outcomes([r[side] for r in runs]) for side in SIDES}}
     report["runs"] = runs
