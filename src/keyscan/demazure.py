@@ -5,7 +5,8 @@ Three routes to the same polynomial:
 * build the tableaux of the shape right to left, scanning each column
   suffix whose entries are large enough to exceed the key of the
   composition w . mu, and dropping every suffix whose right-key column
-  does;
+  does; by the run rule of ``scanning.scanning_tableau``, no column is
+  scanned that is followed by one of its length, nor the last column;
 * filter all semistandard tableaux of the shape by their jeu de taquin
   right key, the unpruned reference;
 * the isobaric divided-difference recursion along a reduced word of w.
@@ -315,19 +316,28 @@ def _extend(i, cols, bound, code, codes, top, scan_columns, n, shift):
     1..n every key column is n - l + 1..n, so b[0] + l - 1 = n and its
     character makes no scan at all.
 
+    The run rule, which ``scanning_tableau`` follows too, spares two
+    more scans; the cut-off is then n, which no entry exceeds.  When
+    column i + 1 has the length of b, key columns i and i + 1 are equal,
+    and so are columns 0 and 1 of the key K+(T[i:]).  Its column 1 is
+    K+(T[i + 1:])[0], and the suffix T[i + 1:] was kept only if that
+    column is within key column i + 1, that is within b.  When i is the
+    last column, the one-column suffix scans to column i itself, which
+    its candidate bound keeps within b.
+
     The candidates for column i depend only on ``upper``, n and
     ``shift``, so ``_candidates`` builds them once per process for each
     such triple.  ``shift`` is part of the key because the digit width
     grows with k.  Their largest bottom entry is upper[-1] (any candidate
-    can end there), so when max(top, upper[-1]) <= b[0] + l - 1 none of
-    them would be scanned; at column 0 the whole list is then counted by
-    one C-level ``Counter.update``.
+    can end there), so when max(top, upper[-1]) is within the cut-off
+    none of them would be scanned; at column 0 the whole list is then
+    counted by one C-level ``Counter.update``.
     """
     b = bound[i]
     right = cols[i + 1] if i + 1 < len(cols) else ()
     upper = tuple(map(min, right, b)) + b[len(right):]
     column_list, column_codes = _candidates(upper, n, shift)
-    unscanned = b[0] + len(b) - 1
+    unscanned = b[0] + len(b) - 1 if 0 < len(right) < len(b) else n
     if not i and top <= unscanned and upper[-1] <= unscanned:
         codes.update(map(code.__add__, column_codes))
         return

@@ -336,7 +336,21 @@ def tableau_columns(draw):
 
 class TestScanSkip:
     """The scan engine scans a suffix only when its largest entry M
-    exceeds b[0] + l - 1 for key column b of length l."""
+    exceeds b[0] + l - 1 for key column b of length l, and never by the
+    run rule: not when the column after b has b's length, and not for
+    the last column."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """The suffix length of every scan made, in order."""
+        calls = []
+
+        def counted(cols, starts):
+            calls.append(len(cols))
+            return _scan_py.scan_columns(cols, starts)
+
+        monkeypatch.setattr(scanning, "_kernel", SimpleNamespace(scan_columns=counted))
+        return calls
 
     @settings(max_examples=300)
     @given(tableau_columns())
@@ -354,46 +368,60 @@ class TestScanSkip:
             w0 = tuple(range(n, 0, -1))
             assert demazure_character(mu, w0, n) == schur_polynomial(mu, n)
 
-    def test_near_identity_still_scans(self, monkeypatch):
-        calls = []
-
-        def counted(cols, starts):
-            calls.append(len(cols))
-            return _scan_py.scan_columns(cols, starts)
-
-        monkeypatch.setattr(scanning, "_kernel", SimpleNamespace(scan_columns=counted))
+    def test_near_identity_still_scans(self, scans):
         mu, w, n = (3, 2, 1), (1, 2, 4, 3, 5), 5
         assert demazure_character(mu, w, n) == demazure_by_operators(mu, w, n)
         # Every scan, by suffix length: counting a list at once must never
         # replace a scan that could drop a suffix.
-        assert calls == [3]
-        calls.clear()
+        assert scans == [3]
+        scans.clear()
         mu, w, n = (3, 2, 1), (3, 5, 4, 1, 2, 6), 6  # the benchmark's random class
         assert demazure_character(mu, w, n) == demazure_by_operators(mu, w, n)
-        assert calls == [2] * 6
+        assert scans == [2] * 6
+
+    @pytest.mark.parametrize("mu, w, n, lengths", [
+        # Key columns (1, 3), (1, 3), (1,), (1,): only the first run's
+        # last column is scanned, with its suffix of 3.
+        ((4, 2), (1, 3, 2, 4), 4, [3]),
+        # Key columns (1, 3), (1, 3): one run, the last.
+        ((2, 2), (1, 3, 2), 3, []),
+        # One key column, (1, 3): the last column alone.
+        ((1, 1), (1, 3, 2), 3, []),
+    ])
+    def test_run_rule_skips_scans(self, scans, mu, w, n, lengths):
+        assert demazure_character(mu, w, n) == demazure_by_operators(mu, w, n)
+        assert scans == lengths
 
     def test_pruned_leaf_list_counts_nothing(self):
-        # Key column (2, 4) has five candidates.  A suffix holding a 4
-        # (top = 4 > 2 + 2 - 1) makes every one of them a scan, and a
-        # kernel that exceeds the key drops them all.
+        # Key columns (2, 4), (4,), as for mu = (2, 1) and w = (4, 2, 1, 3)
+        # at n = 4, with (4,) in the last column.  Column 0 is bounded by
+        # (2, 4) and has five candidates.  The suffix holds a 4
+        # (top = 4 > 2 + 2 - 1) and column 1 is shorter, so every one of
+        # them is a scan, and a kernel that exceeds the key drops them all.
+        scanned = []
+
         def exceeds(cols, starts):
+            scanned.append(cols[0])
             return [(5, 5)]
 
         codes = Counter()
-        _extend(0, [()], ((2, 4),), 0, codes, 4, exceeds, 4, 8)
+        _extend(0, [(), (4,)], ((2, 4), (4,)), 1 << 8 * (4 - 4), codes, 4, exceeds, 4, 8)
         assert codes == Counter()
+        assert scanned == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
 
     def test_scan_free_leaf_list_counted_at_once(self):
-        # Key column (3, 4): max(top, 4) <= 3 + 2 - 1, so the six
-        # candidates are counted without a scan, each by its own weight.
+        # Key columns (3, 4), (4,), as for mu = (2, 1) and w = (4, 3, 1, 2)
+        # at n = 4, with (4,) in the last column.  Column 1 is shorter, but
+        # max(top, 4) <= 3 + 2 - 1, so the six candidates are counted
+        # without a scan, each by its own weight plus the suffix's.
         def refuse(cols, starts):
             raise AssertionError("scan made for a list that cannot be pruned")
 
         codes = Counter()
-        _extend(0, [()], ((3, 4),), 0, codes, 4, refuse, 4, 8)
+        _extend(0, [(), (4,)], ((3, 4), (4,)), 1 << 8 * (4 - 4), codes, 4, refuse, 4, 8)
         cols = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
         assert codes == Counter(
-            sum(1 << 8 * (4 - e) for e in col) for col in cols
+            sum(1 << 8 * (4 - e) for e in (*col, 4)) for col in cols
         )
 
 

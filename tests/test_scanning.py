@@ -24,7 +24,7 @@ from keyscan.scanning import (
 from keyscan.tableau import Tableau, entrywise_leq, parse_tableau
 
 from conftest import EXAMPLE_KEY_TEXT
-from helpers import census, dense_tableaux, seeded_columns
+from helpers import census, dense_tableaux, large_tableaux, seeded_columns
 
 
 def key_column(passes):
@@ -243,6 +243,24 @@ class TestKernels:
         for kernel in kernels:
             with pytest.raises(InternalInvariantError):
                 kernel.left_columns(cols, (11,))
+
+    def test_run_rule(self, kernels):
+        """What lets a caller skip scans: in a key, equal-length columns
+        are equal, so a column followed by one of the same length scans,
+        at start 0 of its suffix, to the column its successor's suffix
+        scans to, and a last column scans to itself.  Held by the paper's
+        passes and by every kernel."""
+        for t in [*census(6, 4), *large_tableaux()]:
+            cols = t.columns
+            suffixes = [cols[i:] for i in range(len(cols))]
+            scans = [[passwise_scan_column(sub, 0) for sub in suffixes]]
+            scans += [[kernel.scan_columns(sub, (0,))[0] for sub in suffixes]
+                      for kernel in kernels]
+            for scanned in scans:
+                assert scanned[-1:] == [*cols[-1:]]
+                for i in range(len(cols) - 1):
+                    if len(cols[i]) == len(cols[i + 1]):
+                        assert scanned[i] == scanned[i + 1], (t, i)
 
     def test_one_contract(self, kernels):
         # Key columns only: no kernel takes a third argument.
