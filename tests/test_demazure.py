@@ -335,10 +335,9 @@ def tableau_columns(draw):
 
 
 class TestScanSkip:
-    """The scan engine scans a suffix only when its largest entry M
-    exceeds b[0] + l - 1 for key column b of length l, and never by the
-    run rule: not when the column after b has b's length, and not for
-    the last column."""
+    """The scan engine scans a suffix with key column b of length l only
+    when the run rule leaves it open, that is when a shorter column
+    follows b, and its largest entry M exceeds b[0] + l - 1."""
 
     @pytest.fixture
     def scans(self, monkeypatch):
